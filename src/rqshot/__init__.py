@@ -9,7 +9,6 @@ from .allocation import (
     UniformPolicy,
     compose,
     heuristic_index,
-    uniform_allocation,
 )
 from .driver import DriverConfig, EpisodeResult, StepCache, run_episode, select_edge, success
 from .features import (
@@ -53,11 +52,9 @@ from .qaoa import (
     CorrelationEstimate,
     CorrelationSampler,
     energy_expectation,
-    estimate_correlations,
     optimize_angles,
-    sample_bitstrings,
     statevector_depth1,
-    zz_expectation_closed_form,
+    zz_all_edges,
 )
 
 __version__ = "0.1.0"

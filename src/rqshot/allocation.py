@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .features import DiscreteState, StepState
 
 FRACTIONS: tuple[float, ...] = (0.20, 0.35, 0.50, 0.65, 0.80, 1.00)
@@ -65,13 +63,6 @@ def compose(baseline_index: int, residual_action: int, cap: int, k_probe: int) -
     )
 
 
-def uniform_allocation(cap: int) -> int:
-    """The uniform baseline spends the full cap at every step."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    return cap
-
-
 def greedy_action(
     q1: Mapping[tuple, Sequence[float]],
     q2: Mapping[tuple, Sequence[float]],
@@ -98,11 +89,13 @@ class UniformPolicy:
     name = "uniform"
 
     def decide(self, state, disc, cap, k_probe, rng=None) -> AllocationDecision:
+        if cap < 1:
+            raise ValueError("cap must be positive")
         return AllocationDecision(
             baseline_index=N_ACTIONS - 1,
             residual=0,
             final_index=N_ACTIONS - 1,
-            shots=uniform_allocation(cap),
+            shots=cap,
         )
 
 
@@ -128,14 +121,3 @@ class RLPolicy:
         residual = greedy_action(self.q1, self.q2, disc)
         return compose(heuristic_index(state), residual, cap, k_probe)
 
-
-def policy_allocate(
-    policy: UniformPolicy | HeuristicPolicy | RLPolicy,
-    state: StepState,
-    disc: DiscreteState,
-    cap: int,
-    k_probe: int,
-    rng: np.random.Generator | None = None,
-) -> AllocationDecision:
-    """Dispatch one allocation decision through the given policy."""
-    return policy.decide(state, disc, cap, k_probe, rng)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import HeuristicPolicy, RLPolicy, UniformPolicy
+from .allocation import HeuristicPolicy, UniformPolicy
 from .driver import DriverConfig, EpisodeResult, StepCache, run_episode
 from .instance import Instance
 from .seeding import make_rng
@@ -32,49 +32,27 @@ SCREEN_CAP = 1024
 OPERATIONAL_SR_FLOOR = 0.90
 
 
-def make_policy(spec: str | dict, checkpoint=None):
+def make_policy(name: str, checkpoint=None):
     """Build a policy object from its name; 'rl' needs a checkpoint."""
-    if isinstance(spec, dict):
-        kind = spec["kind"]
-        if kind == "rl":
-            return RLPolicy(
-                {tuple(int(x) for x in k.split(":")): v for k, v in spec["q1"].items()},
-                {tuple(int(x) for x in k.split(":")): v for k, v in spec["q2"].items()},
-            )
-        spec = kind
-    if spec == "uniform":
+    if name == "uniform":
         return UniformPolicy()
-    if spec == "heuristic":
+    if name == "heuristic":
         return HeuristicPolicy()
-    if spec == "rl":
+    if name == "rl":
         if checkpoint is None:
             raise ValueError("rl policy needs a checkpoint")
         return checkpoint.policy()
-    raise ValueError(f"unknown policy {spec!r}")
+    raise ValueError(f"unknown policy {name!r}")
 
 
-def _policy_payload(policy) -> dict:
-    if isinstance(policy, RLPolicy):
-        return {
-            "kind": "rl",
-            "q1": {":".join(map(str, k)): list(v) for k, v in policy.q1.items()},
-            "q2": {":".join(map(str, k)): list(v) for k, v in policy.q2.items()},
-        }
-    return {"kind": policy.name}
-
-
-def _trial_chunk(payload) -> list[tuple[int, dict]]:
-    inst_data, policy_payload, cap, cfg, seed_parts, indices = payload
+def _trial_chunk(payload) -> list[EpisodeResult]:
+    inst_data, policy, cap, cfg, seed_parts, indices = payload
     inst = Instance.from_dict(inst_data)
-    policy = make_policy(policy_payload)
     cache = StepCache()
-    out = []
-    for t in indices:
-        rng = make_rng(*seed_parts, t)
-        r = run_episode(inst, policy, cap, cfg, rng, cache=cache)
-        out.append((t, {"sigma": r.sigma, "total_shots": r.total_shots, "e_out": r.e_out,
-                        "approx_ratio": r.approx_ratio}))
-    return out
+    return [
+        run_episode(inst, policy, cap, cfg, make_rng(*seed_parts, t), cache=cache)
+        for t in indices
+    ]
 
 
 def run_trials(
@@ -87,7 +65,11 @@ def run_trials(
     cache: StepCache | None = None,
     jobs: int = 1,
 ) -> list[EpisodeResult]:
-    """N independent episodes with per-trial derived streams, optionally parallel."""
+    """N independent episodes with per-trial derived streams, optionally parallel.
+
+    Workers run contiguous chunks of trial indices and return their
+    EpisodeResults whole, so the parallel list equals the serial one.
+    """
     if jobs <= 1:
         cache = cache if cache is not None else StepCache()
         return [
@@ -95,26 +77,9 @@ def run_trials(
             for t in range(n_trials)
         ]
     chunks = [c.tolist() for c in np.array_split(np.arange(n_trials), jobs) if len(c)]
-    payloads = [
-        (inst.to_dict(), _policy_payload(policy), cap, cfg, seed_parts, chunk)
-        for chunk in chunks
-    ]
-    results: dict[int, dict] = {}
+    payloads = [(inst.to_dict(), policy, cap, cfg, seed_parts, chunk) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_trial_chunk, payloads):
-            for t, r in part:
-                results[t] = r
-    return [
-        EpisodeResult(
-            steps=[],
-            total_shots=results[t]["total_shots"],
-            e_out=results[t]["e_out"],
-            e_opt=inst.e_opt,
-            sigma=results[t]["sigma"],
-            approx_ratio=results[t]["approx_ratio"],
-        )
-        for t in range(n_trials)
-    ]
+        return [r for part in pool.map(_trial_chunk, payloads) for r in part]
 
 
 @dataclass
@@ -220,6 +185,7 @@ def hard_screen(
     n_trials: int = 60,
     cap: int = SCREEN_CAP,
     master_seed: int = 0,
+    threshold: float = HARD_RATIO_THRESHOLD,
 ) -> tuple[str, float]:
     """Classify an instance by its mean uniform approximation ratio."""
     results = run_trials(
@@ -227,7 +193,7 @@ def hard_screen(
         (master_seed, "screen", inst.instance_id, cap),
     )
     mean_ratio = statistics.fmean(r.approx_ratio for r in results)
-    return ("hard" if is_hard(mean_ratio) else "easy"), mean_ratio
+    return ("hard" if is_hard(mean_ratio, threshold) else "easy"), mean_ratio
 
 
 @dataclass

@@ -28,6 +28,9 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_MISSING = 3
 
+# the commands that draw their random streams from the master seed
+MASTER_SEED_COMMANDS = ("screen", "calibrate", "train", "eval")
+
 
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -47,7 +50,7 @@ def cmd_gen(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
-        inst = generate_instance(args.n, args.d, args.seed + i)
+        inst = generate_instance(args.n, args.d, args.gen_seed + i)
         inst.category = args.category
         inst.save(out / f"{inst.instance_id}.json")
         print(f"wrote {inst.instance_id}: {inst.graph.edge_count} edges, e_opt={inst.e_opt:.6f}")
@@ -60,7 +63,7 @@ def cmd_screen(args, cfg: RunConfig) -> int:
         inst = Instance.load(path)
         label, mean_ratio = bm.hard_screen(
             inst, dcfg, n_trials=cfg.screen_trials, cap=cfg.screen_cap,
-            master_seed=cfg.master_seed,
+            master_seed=cfg.master_seed, threshold=cfg.hard_threshold,
         )
         inst.category = label
         inst.save(path)
@@ -127,7 +130,6 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = 1 if args.log_steps else cfg.jobs  # step logs only survive the serial path
     all_records: list[bm.EvaluationRecord] = []
     trial_lines: list[str] = []
     step_lines: list[str] = []
@@ -138,7 +140,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         cap = _resolve_cap(args.cap, inst, args.caps_dir)
         records, trials = bm.evaluate_methods(
             inst, policies, cap, cfg.driver_config(), n_trials=cfg.eval_trials,
-            master_seed=cfg.master_seed, jobs=jobs,
+            master_seed=cfg.master_seed, jobs=cfg.jobs,
         )
         all_records.extend(records)
         for policy_name, results in trials.items():
@@ -252,7 +254,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
 
 def cmd_oracle_check(args, cfg: RunConfig) -> int:
     """Closed form vs statevector, plus estimator sanity; nonzero exit on failure."""
-    rng = make_rng(args.seed, "oracle")
+    rng = make_rng(args.check_seed, "oracle")
     worst = 0.0
     for _ in range(args.cases):
         n = int(rng.integers(2, args.n_max + 1))
@@ -284,7 +286,7 @@ def cmd_oracle_check(args, cfg: RunConfig) -> int:
     exact = sampler.exact_values()
     edge = max(exact, key=lambda e: abs(exact[e]))
     reps, k = 2000, 256
-    est_rng = make_rng(args.seed, "oracle-estimator")
+    est_rng = make_rng(args.check_seed, "oracle-estimator")
     means = [sampler.estimate(sampler.draw(k, est_rng)).values[edge] for _ in range(reps)]
     m = exact[edge]
     se = np.sqrt((1 - m**2) / k / reps)
@@ -305,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive shot allocation for depth-1 recursive QAOA on weighted Max-Cut.",
     )
     parser.add_argument("--config", help="INI config file (defaults reproduce the reference protocol)")
-    parser.add_argument("--seed", type=int, help="override the master seed")
+    parser.add_argument(
+        "--seed", type=int, help="override the master seed of screen, calibrate, train and eval"
+    )
     parser.add_argument("--jobs", type=int, help="trial-level parallelism (default serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -313,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="node count")
     p.add_argument("-d", type=int, required=True, help="degree")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, dest="seed")
+    p.add_argument("--seed", type=int, default=0, dest="gen_seed", help="seed of the first instance")
     p.add_argument("--category", default="unscreened")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--cap", help="cap value or calibration JSON applied to every instance")
     p.add_argument("--caps-dir")
-    p.add_argument("--log-steps", action="store_true", help="also write per-step logs (serial)")
+    p.add_argument("--log-steps", action="store_true", help="also write per-step logs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="validate the closed form against the statevector")
     p.add_argument("--n-max", type=int, default=12, dest="n_max")
     p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0, dest="seed")
+    p.add_argument("--seed", type=int, default=0, dest="check_seed")
     p.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -369,7 +373,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.seed is not None and args.command != "gen":
+        if args.seed is not None:
+            if args.command not in MASTER_SEED_COMMANDS:
+                raise ValueError(f"{args.command} reads no master seed; the global --seed does not apply")
             cfg.master_seed = args.seed
         if args.jobs is not None:
             cfg.jobs = args.jobs

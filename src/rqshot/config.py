@@ -53,7 +53,6 @@ class RunConfig:
             zgap_variant=self.zgap_variant,
             k_top=self.k_top,
             bins=self.bins,
-            eta=self.train.eta,
         )
 
 

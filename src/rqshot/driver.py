@@ -65,7 +65,6 @@ class DriverConfig:
     zgap_variant: str = "literal"
     k_top: int = 3
     bins: BinBoundaries = field(default_factory=BinBoundaries)
-    eta: float = 1.0
 
 
 class EpisodePolicy(Protocol):

@@ -346,7 +346,7 @@ def train(
     if cap < probe_shot_count(inst.n):
         raise ValueError(f"cap {cap} below probe size for n={inst.n}")
 
-    driver_cfg = replace(driver_cfg, eta=config.eta, rho_star=config.rho_star)
+    driver_cfg = replace(driver_cfg, rho_star=config.rho_star)
     tables = QTables()
     controller = LagrangianController(config)
     trainer = _TrainingPolicy(tables, config, cap)

@@ -18,11 +18,15 @@ with F the shared neighbors of u and v.  The decomposition makes grid
 evaluation over many angles cheap.  The expression is validated against the
 statevector simulator in the test suite; the simulator, not the formula, is
 the ground truth.
+
+Sampled estimates only ever need, per edge, how many shots measured its two
+spins anti-aligned, so a shot pool is that vector of counts whether the
+shots come from the statevector or from per-edge binomial draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -118,14 +122,6 @@ def zz_all_edges(g: WeightedGraph, a: Angles) -> dict[tuple[int, int], float]:
     terms = _EdgeTerms(g)
     zz = _zz_vector(terms, a)
     return {e: float(x) for e, x in zip(terms.edge_keys, zz)}
-
-
-def zz_expectation_closed_form(g: WeightedGraph, a: Angles, edge: tuple[int, int]) -> float:
-    u, v = edge
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge {edge} not in graph")
-    key = (u, v) if u < v else (v, u)
-    return zz_all_edges(g, a)[key]
 
 
 def energy_expectation(g: WeightedGraph, a: Angles) -> float:
@@ -227,30 +223,23 @@ def _cost_diagonal(g: WeightedGraph) -> np.ndarray:
     return cost
 
 
-def sample_bitstrings(state: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw k basis-state samples from |amplitude|^2; returns (k, n) bits."""
-    if k < 1:
-        raise ValueError("need at least one shot")
-    probs = np.abs(state) ** 2
-    cum = np.cumsum(probs / probs.sum())
+def _sample_indices(cum: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw k basis-state indices from a cumulative distribution."""
     idx = np.searchsorted(cum, rng.random(k), side="right")
-    idx = np.minimum(idx, len(state) - 1)
-    n = int(np.log2(len(state)))
-    return ((idx[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    return np.minimum(idx, len(cum) - 1)
 
 
 @dataclass
 class ShotPool:
-    """An accumulated pool of measurement outcomes for one prepared state.
+    """An accumulated pool of shots for one prepared state.
 
-    Statevector pools keep the raw bit matrix so all edges share the same
-    shots; binomial pools keep only per-edge success counts.
+    ``disagree[i]`` counts the shots in which the endpoints of the i-th edge
+    (in ``edge_list()`` order) were measured anti-aligned.  Both sampling modes
+    reduce their shots to this form, so pools merge by addition.
     """
 
-    kind: str
     shots: int
-    bits: np.ndarray | None = None
-    counts: dict[tuple[int, int], int] = field(default_factory=dict)
+    disagree: np.ndarray
 
 
 class CorrelationSampler:
@@ -258,11 +247,13 @@ class CorrelationSampler:
 
     Modes:
       exact               closed-form values, zero shots
-      statevector_sampled one shared bitstring pool per estimate
+      statevector_sampled one shared pool of basis-state samples per estimate
       binomial            independent per-edge Binomial(k, (1+M)/2) draws
     ``auto`` picks statevector sampling up to ``sv_threshold`` qubits and
     the binomial model above it.  A statevector request beyond the hard
-    qubit limit falls back to binomial with the estimate flagged.
+    qubit limit falls back to binomial with the estimate flagged.  Either
+    sampled mode yields a ShotPool, and a pool of k shots with c
+    disagreements on an edge estimates its correlation as (k - 2c) / k.
     """
 
     def __init__(
@@ -289,7 +280,6 @@ class CorrelationSampler:
 
         self._exact = exact_values
         self._cum = cumulative_probs
-        self._cols: dict[tuple[int, int], tuple[int, int]] | None = None
 
     def exact_values(self) -> dict[tuple[int, int], float]:
         if self._exact is None:
@@ -303,12 +293,6 @@ class CorrelationSampler:
             self._cum = np.cumsum(probs / probs.sum())
         return self._cum
 
-    def _edge_columns(self) -> dict[tuple[int, int], tuple[int, int]]:
-        if self._cols is None:
-            pos = {u: q for q, u in enumerate(self.graph.nodes)}
-            self._cols = {e: (pos[e[0]], pos[e[1]]) for e in self.graph.edge_list()}
-        return self._cols
-
     def exact_estimate(self) -> CorrelationEstimate:
         return CorrelationEstimate(
             values=dict(self.exact_values()), shots_used=0, mode=MODE_EXACT
@@ -317,60 +301,30 @@ class CorrelationSampler:
     def draw(self, k: int, rng: np.random.Generator) -> ShotPool:
         if k < 1:
             raise ValueError("need at least one shot")
+        edges = self.graph.edge_list()
         if self.mode == MODE_STATEVECTOR:
-            cum = self.cumulative_probs()
-            idx = np.searchsorted(cum, rng.random(k), side="right")
-            idx = np.minimum(idx, len(cum) - 1)
-            n = self.graph.node_count
-            bits = ((idx[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-            return ShotPool(kind=MODE_STATEVECTOR, shots=k, bits=bits)
+            idx = _sample_indices(self.cumulative_probs(), k, rng)
+            bits = ((idx >> np.arange(self.graph.node_count)[:, None]) & 1).astype(np.uint8)
+            ends = np.searchsorted(self.graph.nodes, np.reshape(edges, (-1, 2)))
+            flips = bits[ends[:, 0]] ^ bits[ends[:, 1]]
+            return ShotPool(shots=k, disagree=flips.sum(axis=1, dtype=np.int64))
         if self.mode == MODE_BINOMIAL:
             exact = self.exact_values()
-            counts = {}
-            for e in self.graph.edge_list():
-                p = min(1.0, max(0.0, (1.0 + exact[e]) / 2.0))
-                counts[e] = int(rng.binomial(k, p))
-            return ShotPool(kind=MODE_BINOMIAL, shots=k, counts=counts)
+            agree = [
+                rng.binomial(k, min(1.0, max(0.0, (1.0 + exact[e]) / 2.0))) for e in edges
+            ]
+            return ShotPool(shots=k, disagree=k - np.array(agree, dtype=np.int64))
         raise ValueError("exact mode draws no shots")
 
     @staticmethod
     def merge(a: ShotPool, b: ShotPool) -> ShotPool:
-        if a.kind != b.kind:
-            raise ValueError("cannot merge pools of different kinds")
-        if a.kind == MODE_STATEVECTOR:
-            return ShotPool(
-                kind=a.kind, shots=a.shots + b.shots, bits=np.vstack([a.bits, b.bits])
-            )
-        counts = dict(a.counts)
-        for e, x in b.counts.items():
-            counts[e] = counts.get(e, 0) + x
-        return ShotPool(kind=a.kind, shots=a.shots + b.shots, counts=counts)
+        return ShotPool(shots=a.shots + b.shots, disagree=a.disagree + b.disagree)
 
     def estimate(self, pool: ShotPool) -> CorrelationEstimate:
-        if pool.kind == MODE_STATEVECTOR:
-            z = 1.0 - 2.0 * pool.bits.astype(float)
-            values = {}
-            for e, (cu, cv) in self._edge_columns().items():
-                values[e] = float(np.mean(z[:, cu] * z[:, cv]))
-        else:
-            values = {e: 2.0 * x / pool.shots - 1.0 for e, x in pool.counts.items()}
+        values = (pool.shots - 2 * pool.disagree) / pool.shots
         return CorrelationEstimate(
-            values=values, shots_used=pool.shots, mode=pool.kind, fallback=self.fallback
+            values=dict(zip(self.graph.edge_list(), values.tolist())),
+            shots_used=pool.shots,
+            mode=self.mode,
+            fallback=self.fallback,
         )
-
-
-def estimate_correlations(
-    g: WeightedGraph,
-    a: Angles,
-    k: int,
-    rng: np.random.Generator | None = None,
-    mode: str = MODE_AUTO,
-    sv_threshold: int = STATEVECTOR_SAMPLING_THRESHOLD,
-) -> CorrelationEstimate:
-    """One-call correlation estimate: exact, or k shots in a sampled mode."""
-    sampler = CorrelationSampler(g, a, mode=mode, sv_threshold=sv_threshold)
-    if sampler.mode == MODE_EXACT:
-        return sampler.exact_estimate()
-    if rng is None:
-        raise ValueError("sampled modes need an rng")
-    return sampler.estimate(sampler.draw(k, rng))

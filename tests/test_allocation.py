@@ -13,9 +13,7 @@ from rqshot.allocation import (
     compose,
     greedy_action,
     heuristic_index,
-    policy_allocate,
     round_half_away,
-    uniform_allocation,
 )
 from rqshot.features import DIST_SENTINEL, BinBoundaries, DiscreteState, StepState, discretize
 
@@ -86,17 +84,17 @@ class TestCompose:
 
 class TestUniform:
     def test_returns_cap(self):
-        assert uniform_allocation(512) == 512
-        assert uniform_allocation(4096) == 4096
+        for cap in (512, 4096):
+            assert UniformPolicy().decide(state(), DiscreteState(0, 0, 0, 0), cap, 16).shots == cap
 
     def test_positive_cap_required(self):
         with pytest.raises(ValueError):
-            uniform_allocation(0)
+            UniformPolicy().decide(state(), DiscreteState(0, 0, 0, 0), 0, 16)
 
     def test_policy_ignores_state(self):
         p = UniformPolicy()
         for z in (0.5, 4.5):
-            d = policy_allocate(p, state(zeta=z), DiscreteState(0, 0, 0, 0), 300, 16)
+            d = p.decide(state(zeta=z), DiscreteState(0, 0, 0, 0), 300, 16)
             assert d.shots == 300
 
 
@@ -118,7 +116,7 @@ class TestGreedyTieBreak:
 class TestPolicies:
     def test_heuristic_matches_rule(self):
         p = HeuristicPolicy()
-        d = policy_allocate(p, state(zeta=4.5, kappa=0.05, dist=3), DiscreteState(0, 6, 0, 3), 1000, 16)
+        d = p.decide(state(zeta=4.5, kappa=0.05, dist=3), DiscreteState(0, 6, 0, 3), 1000, 16)
         assert (d.baseline_index, d.residual, d.shots) == (0, 0, 200)
 
     def test_fresh_rl_equals_heuristic_exhaustive(self):
@@ -162,4 +160,4 @@ def test_compose_monotone_in_residual(baseline, a1, a2, cap):
 )
 def test_heuristic_never_exceeds_uniform(zeta, kappa, dist, cap):
     d = HeuristicPolicy().decide(state(zeta=zeta, kappa=kappa, dist=dist), None, cap, 16)
-    assert d.shots <= uniform_allocation(cap)
+    assert d.shots <= UniformPolicy().decide(state(), None, cap, 16).shots

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from rqshot import benchmark as bm
-from rqshot.allocation import HeuristicPolicy, UniformPolicy
+from rqshot.allocation import HeuristicPolicy, RLPolicy, UniformPolicy
 from rqshot.driver import DriverConfig, EpisodeResult
 from rqshot.instance import generate_instance
 
@@ -163,12 +165,19 @@ class TestEvaluateMethods:
         assert all(len(v) == 20 for v in trials.values())
 
     def test_parallel_jobs_match_serial(self):
+        # every output, step logs included; the RL table sends a different
+        # residual from every cell, so a lost table would show
+        cells = itertools.product(range(6), range(7), range(5), range(5))
+        q1 = {c: [float(a == sum(c) % 6) for a in range(6)] for c in cells}
         inst = generate_instance(10, 4, seed=3)
-        serial = bm.run_trials(inst, UniformPolicy(), 64, 8, DriverConfig(), (9, "x"), jobs=1)
-        parallel = bm.run_trials(inst, UniformPolicy(), 64, 8, DriverConfig(), (9, "x"), jobs=2)
-        assert [r.total_shots for r in serial] == [r.total_shots for r in parallel]
-        assert [r.e_out for r in serial] == [r.e_out for r in parallel]
-        assert [r.sigma for r in serial] == [r.sigma for r in parallel]
+        for policy in (UniformPolicy(), HeuristicPolicy(), RLPolicy(q1, {})):
+            serial = bm.run_trials(inst, policy, 256, 8, DriverConfig(), (9, "x"), jobs=1)
+            parallel = bm.run_trials(inst, policy, 256, 8, DriverConfig(), (9, "x"), jobs=2)
+            assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
+            assert [[s.to_dict() for s in r.steps] for r in parallel] == [
+                [s.to_dict() for s in r.steps] for r in serial
+            ]
+            assert all(r.steps for r in parallel)
 
 
 class TestOperationalFilter:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from rqshot.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
+from rqshot.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, build_parser, main
 from rqshot.config import load_config
+from rqshot.driver import DriverConfig
 from rqshot.features import BinBoundaries
 from rqshot.instance import Instance
 from rqshot.learner import PolicyCheckpoint
@@ -154,6 +155,52 @@ class TestDeterminism:
         out = tmp_path / "report"
         assert run("report", "--records", str(empty), "--out", str(out)) == EXIT_OK
         assert (out / "summary.txt").exists()
+
+
+class TestKnobsTakeEffect:
+    def test_global_seed_survives_subcommand_seed_default(self):
+        for argv in (["oracle-check"], ["gen", "-n", "10", "-d", "3", "--out", "x"]):
+            assert build_parser().parse_args(["--seed", "5", *argv]).seed == 5
+
+    def test_global_seed_rejected_where_no_master_seed_is_read(self, tmp_path):
+        assert run("--seed", "5", "oracle-check", "--n-max", "4", "--cases", "2") == EXIT_USAGE
+        out = tmp_path / "g"
+        assert run("--seed", "5", "gen", "-n", "10", "-d", "3", "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_screen_reads_hard_threshold(self, tmp_path):
+        inst_dir = tmp_path / "inst"
+        assert run("gen", "-n", "10", "-d", "3", "--seed", "1", "--out", str(inst_dir)) == EXIT_OK
+        labels = []
+        for threshold in ("0.0", "1.0"):  # no ratio is <= 0, every ratio is <= 1
+            ini = tmp_path / f"screen{threshold}.ini"
+            ini.write_text(
+                f"[benchmark]\nscreen_trials = 2\nscreen_cap = 64\nhard_threshold = {threshold}\n"
+            )
+            assert run("--config", str(ini), "screen", "--instances", str(inst_dir)) == EXIT_OK
+            labels.append(Instance.load(next(inst_dir.glob("*.json"))).category)
+        assert labels == ["easy", "hard"]
+
+    def test_training_knobs_stay_out_of_driver_config(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[train]\neta = 2.0\n")
+        cfg = load_config(ini)
+        assert cfg.train.eta == 2.0
+        assert cfg.driver_config() == DriverConfig()
+
+    def test_parallel_eval_logs_match_serial(self, pipeline, tmp_path):
+        _, inst_path, cap_path = pipeline
+        ini = tmp_path / "run.ini"
+        ini.write_text("[benchmark]\neval_trials = 6\n")
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert run("--config", str(ini), "--jobs", jobs, "eval", "--instances", str(inst_path),
+                       "--policies", "uniform,heuristic", "--cap", str(cap_path), "--log-steps",
+                       "--out", str(out)) == EXIT_OK
+            outs.append(out)
+        for name in ("trials.jsonl", "steps.jsonl", "records.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
 class TestOracleCheckCommand:

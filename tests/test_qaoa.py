@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rqshot.driver import select_edge
 from rqshot.instance import generate_regular_gaussian
 from rqshot.qaoa import (
     MODE_BINOMIAL,
@@ -9,14 +10,13 @@ from rqshot.qaoa import (
     MODE_STATEVECTOR,
     Angles,
     CorrelationSampler,
+    ShotPool,
+    _sample_indices,
     energy_expectation,
     energy_grid,
-    estimate_correlations,
     optimize_angles,
-    sample_bitstrings,
     statevector_depth1,
     zz_all_edges,
-    zz_expectation_closed_form,
 )
 
 from .conftest import make_graph, random_weighted_graph
@@ -65,13 +65,13 @@ class TestStatevector:
 class TestClosedForm:
     def test_beta_zero_vanishes(self, rng):
         g = random_weighted_graph(6, 0.6, rng)
-        for edge in g.edge_list()[:3]:
-            assert zz_expectation_closed_form(g, Angles(1.3, 0.0), edge) == pytest.approx(0.0)
+        for value in zz_all_edges(g, Angles(1.3, 0.0)).values():
+            assert value == pytest.approx(0.0)
 
     def test_gamma_zero_vanishes(self, rng):
         g = random_weighted_graph(6, 0.6, rng)
-        for edge in g.edge_list()[:3]:
-            assert zz_expectation_closed_form(g, Angles(0.0, 0.7), edge) == pytest.approx(0.0)
+        for value in zz_all_edges(g, Angles(0.0, 0.7)).values():
+            assert value == pytest.approx(0.0)
 
     def test_matches_statevector(self, rng):
         worst = 0.0
@@ -81,14 +81,9 @@ class TestClosedForm:
             if g.edge_count == 0:
                 continue
             a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
-            for edge in g.edge_list():
-                worst = max(worst, abs(statevector_zz(g, a, edge) - zz_expectation_closed_form(g, a, edge)))
+            for edge, value in zz_all_edges(g, a).items():
+                worst = max(worst, abs(statevector_zz(g, a, edge) - value))
         assert worst < 1e-9
-
-    def test_missing_edge_rejected(self):
-        g = make_graph({(0, 1): 1.0})
-        with pytest.raises(ValueError, match="not in graph"):
-            zz_expectation_closed_form(g, Angles(0.1, 0.1), (0, 2))
 
     def test_energy_matches_statevector(self, rng):
         for _ in range(5):
@@ -142,17 +137,28 @@ class TestOptimizeAngles:
             optimize_angles(WeightedGraph(range(3), {}))
 
 
+def cumulative(state):
+    probs = np.abs(state) ** 2
+    return np.cumsum(probs / probs.sum())
+
+
+def index_bits(idx, n):
+    return (idx[:, None] >> np.arange(n)) & 1
+
+
 class TestSampling:
+    """The basis-state sampler behind every statevector draw."""
+
     def test_deterministic_basis_state(self, rng):
         state = np.zeros(8, dtype=complex)
         state[5] = 1.0
-        bits = sample_bitstrings(state, 50, rng)
-        assert np.all(bits == [1, 0, 1])
+        idx = _sample_indices(cumulative(state), 50, rng)
+        assert np.all(index_bits(idx, 3) == [1, 0, 1])
 
     def test_uniform_state_bit_means(self, rng):
         state = np.full(16, 0.25, dtype=complex)
         k = 40000
-        bits = sample_bitstrings(state, k, rng)
+        bits = index_bits(_sample_indices(cumulative(state), k, rng), 4)
         sigma = 0.5 / np.sqrt(k)
         assert np.all(np.abs(bits.mean(axis=0) - 0.5) < 3 * sigma)
 
@@ -161,24 +167,29 @@ class TestSampling:
         raw = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         state = raw / np.linalg.norm(raw)
         k = 100_000
-        bits = sample_bitstrings(state, k, np.random.default_rng(7))
-        idx = bits @ (1 << np.arange(4))
+        idx = _sample_indices(cumulative(state), k, np.random.default_rng(7))
         observed = np.bincount(idx, minlength=16)
         expected = k * np.abs(state) ** 2
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(0.999, df=15)
 
     def test_shot_count_validated(self, rng):
-        state = np.array([1.0, 0.0], dtype=complex)
-        with pytest.raises(ValueError):
-            sample_bitstrings(state, 0, rng)
+        g = make_graph({(0, 1): 1.0})
+        for mode in (MODE_STATEVECTOR, MODE_BINOMIAL):
+            sampler = CorrelationSampler(g, Angles(0.1, 0.1), mode=mode)
+            with pytest.raises(ValueError):
+                sampler.draw(0, rng)
+
+
+def sampled_estimate(sampler, k, rng):
+    return sampler.estimate(sampler.draw(k, rng))
 
 
 class TestEstimateCorrelations:
     def test_exact_mode_bit_for_bit(self):
         g = make_graph({(0, 1): 0.8, (1, 2): -0.4})
         a = Angles(0.9, 0.3)
-        est = estimate_correlations(g, a, k=0, mode=MODE_EXACT)
+        est = CorrelationSampler(g, a, mode=MODE_EXACT).exact_estimate()
         assert est.values == zz_all_edges(g, a)
         assert est.shots_used == 0
         assert est.mode == MODE_EXACT
@@ -196,8 +207,13 @@ class TestEstimateCorrelations:
         g = generate_regular_gaussian(6, 3, seed=2)
         a = optimize_angles(g)
         exact = zz_all_edges(g, a)
-        est = estimate_correlations(g, a, k=1_000_000, rng=np.random.default_rng(3),
-                                    mode=MODE_STATEVECTOR)
+        sampler = CorrelationSampler(g, a, mode=MODE_STATEVECTOR)
+        rng = np.random.default_rng(3)
+        pool = sampler.draw(100_000, rng)
+        for _ in range(9):
+            pool = CorrelationSampler.merge(pool, sampler.draw(100_000, rng))
+        est = sampler.estimate(pool)
+        assert est.shots_used == 1_000_000
         for e, m in exact.items():
             assert abs(est.values[e] - m) < 0.005
 
@@ -205,16 +221,16 @@ class TestEstimateCorrelations:
         g = generate_regular_gaussian(6, 3, seed=2)
         a = optimize_angles(g)
         for mode in (MODE_STATEVECTOR, MODE_BINOMIAL):
-            est = estimate_correlations(g, a, k=16, rng=rng, mode=mode)
+            est = sampled_estimate(CorrelationSampler(g, a, mode=mode), 16, rng)
             assert all(-1.0 <= v <= 1.0 for v in est.values.values())
             assert est.shots_used == 16
 
     def test_auto_threshold_picks_mode(self, rng):
         g = generate_regular_gaussian(6, 3, seed=2)
         a = Angles(0.5, 0.5)
-        est = estimate_correlations(g, a, k=8, rng=rng, sv_threshold=5)
+        est = sampled_estimate(CorrelationSampler(g, a, sv_threshold=5), 8, rng)
         assert est.mode == MODE_BINOMIAL
-        est = estimate_correlations(g, a, k=8, rng=rng, sv_threshold=6)
+        est = sampled_estimate(CorrelationSampler(g, a, sv_threshold=6), 8, rng)
         assert est.mode == MODE_STATEVECTOR
 
     def test_statevector_fallback_flagged(self, rng):
@@ -228,12 +244,69 @@ class TestEstimateCorrelations:
     def test_pooling_merges_shot_counts(self, rng):
         g = generate_regular_gaussian(6, 3, seed=2)
         a = optimize_angles(g)
-        sampler = CorrelationSampler(g, a, mode=MODE_STATEVECTOR)
-        pool = sampler.draw(16, rng)
-        merged = CorrelationSampler.merge(pool, sampler.draw(48, rng))
-        est = sampler.estimate(merged)
-        assert est.shots_used == 64
-        assert merged.bits.shape == (64, 6)
+        for mode in (MODE_STATEVECTOR, MODE_BINOMIAL):
+            sampler = CorrelationSampler(g, a, mode=mode)
+            first, second = sampler.draw(16, rng), sampler.draw(48, rng)
+            merged = CorrelationSampler.merge(first, second)
+            assert merged.shots == 64
+            assert np.array_equal(merged.disagree, first.disagree + second.disagree)
+            assert sampler.estimate(merged).shots_used == 64
+
+
+def bit_matrix_estimate(sampler, ks, rng):
+    """Reference: the bit-matrix estimator the disagreement counts replaced.
+
+    Draws each chunk of ks as a (k, n) bit matrix, stacks the chunks, and
+    averages the +-1 spin products of every edge.
+    """
+    n = sampler.graph.node_count
+    cum = sampler.cumulative_probs()
+    chunks = []
+    for k in ks:
+        idx = np.searchsorted(cum, rng.random(k), side="right")
+        idx = np.minimum(idx, len(cum) - 1)
+        chunks.append(((idx[:, None] >> np.arange(n)) & 1).astype(np.uint8))
+    z = 1.0 - 2.0 * np.vstack(chunks).astype(float)
+    pos = {u: q for q, u in enumerate(sampler.graph.nodes)}
+    return {
+        (u, v): float(np.mean(z[:, pos[u]] * z[:, pos[v]])) for u, v in sampler.graph.edge_list()
+    }
+
+
+class TestShotPool:
+    @pytest.mark.parametrize("ks", [(1,), (7,), (16, 48), (27, 273), (64, 960)])
+    def test_statevector_counts_equal_bit_matrix_means(self, ks):
+        # sums of +-1 are exact, so the count form must agree to the last bit
+        rng = np.random.default_rng(5)
+        for n, density in ((4, 0.8), (9, 0.5), (12, 0.4)):
+            g = random_weighted_graph(n, density, rng)
+            if g.edge_count == 0:
+                continue
+            sampler = CorrelationSampler(g, optimize_angles(g), mode=MODE_STATEVECTOR)
+            seed = int(rng.integers(2**31))
+            draw_rng = np.random.default_rng(seed)
+            pool = sampler.draw(ks[0], draw_rng)
+            for k in ks[1:]:
+                pool = CorrelationSampler.merge(pool, sampler.draw(k, draw_rng))
+            got = sampler.estimate(pool).values
+            want = bit_matrix_estimate(sampler, ks, np.random.default_rng(seed))
+            assert list(got) == list(want)
+            assert got == want
+
+    @pytest.mark.parametrize("k, x", [(3, 1), (300, 90)])
+    def test_binomial_estimate_sign_symmetric(self, k, x):
+        # x and k - x agreements are the same magnitude, so a tie between
+        # them breaks lexicographically rather than by rounding error
+        g = make_graph({(0, 1): 0.5, (1, 2): 0.5})
+        sampler = CorrelationSampler(g, Angles(0.3, 0.2), mode=MODE_BINOMIAL)
+        for agree in range(k + 1):
+            pool = ShotPool(shots=k, disagree=np.array([k - agree, agree]))
+            values = sampler.estimate(pool).values
+            assert values[(0, 1)] == -values[(1, 2)]
+        # rounded as 2*agree/k - 1, x agreements read as the larger magnitude
+        assert abs(2.0 * x / k - 1.0) > abs(2.0 * (k - x) / k - 1.0)
+        pool = ShotPool(shots=k, disagree=np.array([x, k - x]))  # x agreements on (1, 2)
+        assert select_edge(sampler.estimate(pool)) == (1, 0, 1)
 
 
 class TestEstimatorStatistics:
