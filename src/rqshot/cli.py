@@ -20,7 +20,14 @@ from . import benchmark as bm
 from .config import RunConfig, load_config
 from .instance import Instance, generate_instance
 from .learner import CheckpointError, PolicyCheckpoint, TrainConfig, train
-from .qaoa import Angles, CorrelationSampler, statevector_depth1, zz_all_edges
+from .qaoa import (
+    Angles,
+    CorrelationSampler,
+    _EdgeTerms,
+    optimize_angles,
+    statevector_depth1,
+    zz_all_edges,
+)
 from .seeding import make_rng
 
 EXIT_OK = 0
@@ -100,7 +107,7 @@ def _resolve_cap(arg: str, inst: Instance, caps_dir: str | None) -> int:
 
 def cmd_train(args, cfg: RunConfig) -> int:
     inst = Instance.load(args.instance)
-    tcfg = TrainConfig.preset(args.preset)
+    tcfg = cfg.train if args.preset is None else TrainConfig.preset(args.preset)
     if args.episodes is not None:
         tcfg.episodes = args.episodes
     cap = _resolve_cap(args.cap, inst, args.caps_dir)
@@ -252,10 +259,34 @@ def cmd_report(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _statevector_zz(g, a: Angles) -> dict[tuple[int, int], float]:
+    """<Z_u Z_v> of every edge, read off the simulated state."""
+    probs = np.abs(statevector_depth1(g, a)) ** 2
+    idx = np.arange(1 << g.node_count)
+    z = 1 - 2 * ((idx[:, None] >> np.arange(g.node_count)) & 1)
+    pos = {u: q for q, u in enumerate(g.nodes)}
+    return {(u, v): float(np.sum(probs * z[:, pos[u]] * z[:, pos[v]])) for u, v in g.edge_list()}
+
+
+def _grid_minimum(g) -> float:
+    """Lowest closed-form energy on the 48 x 24 (gamma, beta) grid."""
+    terms = _EdgeTerms(g)
+    av, bv = terms.ab(np.linspace(0.0, 2 * np.pi, 48, endpoint=False))
+    betas = np.linspace(0.0, np.pi, 24, endpoint=False)
+    surface = np.outer(av @ terms.j, np.sin(4 * betas)) + np.outer(bv @ terms.j, np.sin(2 * betas) ** 2)
+    return float(surface.min())
+
+
 def cmd_oracle_check(args, cfg: RunConfig) -> int:
-    """Closed form vs statevector, plus estimator sanity; nonzero exit on failure."""
+    """Closed form vs statevector, angle search vs the grid, estimator sanity.
+
+    The angle search passes when the energy of its angles, computed from the
+    statevector, is no higher than the best point of the 48 x 24 grid.
+    Nonzero exit on any failure.
+    """
     rng = make_rng(args.check_seed, "oracle")
     worst = 0.0
+    worst_angles = -np.inf
     for _ in range(args.cases):
         n = int(rng.integers(2, args.n_max + 1))
         degrees = [d for d in range(1, n) if (n * d) % 2 == 0]
@@ -265,22 +296,19 @@ def cmd_oracle_check(args, cfg: RunConfig) -> int:
         if g.edge_count == 0:
             continue
         a = Angles(gamma=float(rng.uniform(0, 2 * np.pi)), beta=float(rng.uniform(0, np.pi)))
-        state = statevector_depth1(g, a)
-        idx = np.arange(1 << g.node_count)
-        z = 1 - 2 * ((idx[:, None] >> np.arange(g.node_count)) & 1)
-        probs = np.abs(state) ** 2
-        pos = {u: q for q, u in enumerate(g.nodes)}
+        sv = _statevector_zz(g, a)
         closed = zz_all_edges(g, a)
-        for (u, v), cf in closed.items():
-            sv = float(np.sum(probs * z[:, pos[u]] * z[:, pos[v]]))
-            worst = max(worst, abs(sv - cf))
+        worst = max(worst, max(abs(sv[e] - cf) for e, cf in closed.items()))
+
+        sv = _statevector_zz(g, optimize_angles(g))
+        energy = sum(j * sv[e] for e, j in g.edges().items())
+        worst_angles = max(worst_angles, energy - _grid_minimum(g))
     print(f"closed form vs statevector: max |delta| = {worst:.3e} over {args.cases} cases")
-    failed = worst > 1e-9
+    print(f"angle search energy minus 48x24 grid minimum: max {worst_angles:.3e}")
+    failed = worst > 1e-9 or worst_angles > 1e-12
 
     # estimator sanity: unbiasedness of the sampled mean at k=256
     inst = generate_instance(6, 3, seed=7, compute_opt=False)
-    from .qaoa import optimize_angles
-
     a = optimize_angles(inst.graph)
     sampler = CorrelationSampler(inst.graph, a, mode="statevector_sampled")
     exact = sampler.exact_values()
@@ -335,8 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--cap", help="cap value or calibration JSON path")
     p.add_argument("--caps-dir", help="directory of <instance_id>.cap.json files")
-    p.add_argument("--preset", choices=("standard", "aggressive"), default="standard")
-    p.add_argument("--episodes", type=int, help="override the preset's episode count")
+    p.add_argument(
+        "--preset", choices=("standard", "aggressive"),
+        help="start from this preset instead of the config's [train] section",
+    )
+    p.add_argument("--episodes", type=int, help="override the episode count")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

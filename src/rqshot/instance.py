@@ -231,24 +231,34 @@ def brute_force_optimum(g: WeightedGraph) -> tuple[float, dict[int, int]]:
         return 0.0, {u: 1 for u in nodes}
 
     pos = {u: i for i, u in enumerate(nodes)}
-    # bit i-1 of the mask is the spin of nodes[i]; nodes[0] is pinned to bit 0
-    edge_shifts = []
-    weights = []
-    for (u, v), j in g.edges().items():
-        edge_shifts.append((pos[u] - 1, pos[v] - 1))
-        weights.append(j)
+    edges = g.edges()
+    ends = [(pos[u], pos[v]) for u, v in edges]
+    weights = np.array(list(edges.values()))
 
+    # bit i-1 of the mask is the spin of nodes[i], copied to row i of bits;
+    # row 0 stays 0 because nodes[0] is pinned to +1.  Every buffer is
+    # allocated once and filled in place chunk by chunk.
     total = 1 << (n - 1)
-    chunk = 1 << 18
+    chunk = min(total, 1 << 18)  # both powers of two, so every chunk is full
+    offsets = np.arange(chunk, dtype=np.int64)
+    masks = np.empty(chunk, dtype=np.int64)
+    shifted = np.empty(chunk, dtype=np.int64)
+    bits = np.zeros((n, chunk), dtype=np.uint8)
+    flips = np.empty(chunk, dtype=np.uint8)
+    term = np.empty(chunk)
+    acc = np.empty(chunk)
     best_cut = -math.inf
     best_mask = 0
     for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        acc = np.zeros(masks.shape[0])
-        for (su, sv), w in zip(edge_shifts, weights):
-            bu = (masks >> su) & 1 if su >= 0 else 0
-            bv = (masks >> sv) & 1 if sv >= 0 else 0
-            acc += w * (bu ^ bv)
+        np.add(offsets, start, out=masks)
+        for i in range(1, n):
+            np.right_shift(masks, i - 1, out=shifted)
+            np.bitwise_and(shifted, 1, out=bits[i], casting="unsafe")
+        acc.fill(0.0)
+        for (iu, iv), w in zip(ends, weights):
+            np.bitwise_xor(bits[iu], bits[iv], out=flips)
+            np.multiply(flips, w, out=term)
+            acc += term
         i = int(np.argmax(acc))
         if acc[i] > best_cut:
             best_cut = float(acc[i])

@@ -14,10 +14,14 @@ part:
                 * (  prod_{f in F} cos(2 gamma (J_uf + J_vf))
                    - prod_{f in F} cos(2 gamma (J_uf - J_vf)) )
 
-with F the shared neighbors of u and v.  The decomposition makes grid
-evaluation over many angles cheap.  The expression is validated against the
-statevector simulator in the test suite; the simulator, not the formula, is
-the ground truth.
+with F the shared neighbors of u and v.  Summed with the couplings, the
+energy is A(gamma) sin 4beta + B(gamma) sin^2 2beta, whose minimum over beta
+is B/2 - sqrt(A^2 + B^2/4) in closed form (Wang, Hadfield, Jiang & Rieffel,
+arXiv:1706.02998; Ozaeta, van Dam & McMahon, arXiv:2012.03421), so the angle
+search is a one-dimensional search over gamma.  The expression is validated
+against the statevector simulator in the test suite; the simulator, not the
+formula, is the ground truth.  It builds the cost diagonal by doubling over
+qubits and applies the mixer as in-place butterflies on amplitude pairs.
 
 Sampled estimates only ever need, per edge, how many shots measured its two
 spins anti-aligned, so a shot pool is that vector of counts whether the
@@ -35,6 +39,7 @@ from .instance import WeightedGraph
 
 STATEVECTOR_MAX_QUBITS = 22
 STATEVECTOR_SAMPLING_THRESHOLD = 20
+ANGLE_GRID_POINTS = 48  # gamma grid in [0, 2pi) that seeds the angle search
 
 MODE_EXACT = "exact"
 MODE_STATEVECTOR = "statevector_sampled"
@@ -132,57 +137,54 @@ def energy_expectation(g: WeightedGraph, a: Angles) -> float:
     return float(terms.j @ _zz_vector(terms, a))
 
 
-def energy_grid(g: WeightedGraph, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Energy surface over a gamma x beta grid, shape (len(gammas), len(betas))."""
-    terms = _EdgeTerms(g)
-    av, bv = terms.ab(np.asarray(gammas))
-    big_a = av @ terms.j
-    big_b = bv @ terms.j
-    betas = np.asarray(betas)
-    return np.sin(4 * betas)[None, :] * big_a[:, None] + (np.sin(2 * betas) ** 2)[None, :] * big_b[:, None]
+def _beta_minimum(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum over beta of A sin 4beta + B sin^2 2beta, and the beta reaching it.
+
+    The energy equals B/2 + A sin 4beta - (B/2) cos 4beta, a sinusoid in 4beta
+    of amplitude sqrt(A^2 + B^2/4) about B/2; the beta returned lies in
+    [0, pi/2), the energy's period.
+    """
+    energy = big_b / 2 - np.hypot(big_a, big_b / 2)
+    beta = ((np.arctan2(big_a, -big_b / 2) + np.pi) / 4) % (np.pi / 2)
+    return energy, beta
 
 
-def optimize_angles(
-    g: WeightedGraph,
-    n_gamma: int = 48,
-    n_beta: int = 24,
-    refine_maxfev: int = 500,
-    refine_tol: float = 1e-8,
-) -> Angles:
-    """Minimize the depth-1 energy: coarse grid seed, then Nelder-Mead.
+def optimize_angles(g: WeightedGraph) -> Angles:
+    """Minimize the depth-1 energy: beta in closed form, gamma by a 1-D search.
 
-    48 gamma candidates in [0, 2pi) are paired with a 24-point beta grid in
-    [0, pi); the best grid point seeds a bounded derivative-free refinement.
-    The grid winner is kept if refinement fails to improve on it, so the
-    returned energy never exceeds the best grid energy.  Deterministic: no
-    randomness anywhere.
+    With A(gamma) = sum_e J_e a_e and B(gamma) = sum_e J_e b_e, the minimum
+    of the energy over beta is B/2 - sqrt(A^2 + B^2/4) (see _beta_minimum).
+    That envelope is scanned on ANGLE_GRID_POINTS values of gamma in
+    [0, 2pi), and the best one is refined by a bounded scalar search within
+    one grid step either side.  The grid winner is kept if refinement fails
+    to improve on it, so the returned energy never exceeds the best grid
+    energy, and no beta grid can do better at the same gamma.  beta lies in
+    [0, pi/2), the period of the state up to a global phase.  Deterministic:
+    no randomness anywhere.
     """
     if g.edge_count == 0:
         raise ValueError("cannot optimize angles on an edgeless graph")
-    gammas = np.linspace(0.0, 2 * np.pi, n_gamma, endpoint=False)
-    betas = np.linspace(0.0, np.pi, n_beta, endpoint=False)
-    surface = energy_grid(g, gammas, betas)
-    gi, bi = np.unravel_index(np.argmin(surface), surface.shape)
-    grid_energy = float(surface[gi, bi])
-    x0 = np.array([gammas[gi], betas[bi]])
-
     terms = _EdgeTerms(g)
-    j = terms.j
 
-    def objective(x):
-        av, bv = terms.ab(np.array([x[0]]))
-        return float(np.sin(4 * x[1]) * (av[0] @ j) + np.sin(2 * x[1]) ** 2 * (bv[0] @ j))
+    def best_over_beta(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        av, bv = terms.ab(gammas)
+        return _beta_minimum(av @ terms.j, bv @ terms.j)
 
-    result = optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        bounds=[(0.0, 2 * np.pi), (0.0, np.pi)],
-        options={"maxfev": refine_maxfev, "fatol": refine_tol, "xatol": 1e-10},
+    step = 2 * np.pi / ANGLE_GRID_POINTS
+    gammas = np.linspace(0.0, 2 * np.pi, ANGLE_GRID_POINTS, endpoint=False)
+    surface, _ = best_over_beta(gammas)
+    gi = int(np.argmin(surface))
+    gamma = float(gammas[gi])
+    result = optimize.minimize_scalar(
+        lambda x: float(best_over_beta(np.array([x]))[0][0]),
+        bounds=(max(0.0, gamma - step), min(2 * np.pi, gamma + step)),
+        method="bounded",
+        options={"xatol": 1e-10},
     )
-    if result.fun <= grid_energy:
-        return Angles(gamma=float(result.x[0]), beta=float(result.x[1]))
-    return Angles(gamma=float(x0[0]), beta=float(x0[1]))
+    if result.fun <= surface[gi]:
+        gamma = float(result.x)
+    _, beta = best_over_beta(np.array([gamma]))
+    return Angles(gamma=gamma, beta=float(beta[0]))
 
 
 def statevector_depth1(
@@ -191,35 +193,66 @@ def statevector_depth1(
     """Amplitudes of exp(-i beta H_M) exp(-i gamma H_C) |+>^n.
 
     Qubit q is the q-th node in sorted order; bit q of a basis index is
-    (index >> q) & 1 and carries spin z = 1 - 2*bit.
+    (index >> q) & 1 and carries spin z = 1 - 2*bit.  The mixer acts on each
+    qubit as an in-place butterfly over the two halves of
+    ``amps.reshape(-1, 2, 1 << q)``, the amplitude pairs that differ in bit q.
     """
     n = g.node_count
     if n > max_qubits:
         raise ValueError(f"statevector limited to {max_qubits} qubits, got {n}")
-    amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
-    amps *= np.exp(-1j * a.gamma * _cost_diagonal(g))
-    c, s = np.cos(a.beta), np.sin(a.beta)
-    idx = np.arange(1 << n)
+    phase = _cost_diagonal(g)
+    phase *= -a.gamma
+    amps = np.empty(1 << n, dtype=complex)
+    np.cos(phase, out=amps.real)
+    np.sin(phase, out=amps.imag)
+    del phase  # freed before the mixer's scratch is allocated, to lower the peak
+    amps *= 2.0 ** (-n / 2)
+
+    c, mix = np.cos(a.beta), -1j * np.sin(a.beta)
+    scratch = np.empty((2, 1 << max(n - 1, 0)), dtype=complex)
     for q in range(n):
-        mask = 1 << q
-        i0 = idx[(idx & mask) == 0]
-        i1 = i0 | mask
-        a0 = amps[i0].copy()
-        a1 = amps[i1].copy()
-        amps[i0] = c * a0 - 1j * s * a1
-        amps[i1] = -1j * s * a0 + c * a1
+        pairs = amps.reshape(-1, 2, 1 << q)
+        a0, a1 = pairs[:, 0, :], pairs[:, 1, :]
+        t0, t1 = (half.reshape(a0.shape) for half in scratch)
+        np.multiply(a0, mix, out=t0)
+        np.multiply(a1, mix, out=t1)
+        a0 *= c
+        a0 += t1
+        a1 *= c
+        a1 += t0
     return amps
 
 
 def _cost_diagonal(g: WeightedGraph) -> np.ndarray:
-    """Ising energy of every basis state, indexed like statevector_depth1."""
+    """Ising energy of every basis state, indexed like statevector_depth1.
+
+    Built by doubling over qubits: once the energies of the first q qubits
+    fill ``cost[:2**q]``, qubit q adds its field h = sum_{p<q} J_pq z_p, which
+    gives cost + h where its bit is 0 and cost - h where it is 1.  The field
+    depends only on the bits up to q's highest lower neighbour p_max, so it is
+    built by the same doubling over 2**(p_max+1) entries and broadcast
+    across the rest.
+    """
     n = g.node_count
     pos = {u: q for q, u in enumerate(g.nodes)}
-    idx = np.arange(1 << n)
-    cost = np.zeros(1 << n)
+    lower: list[dict[int, float]] = [{} for _ in range(n)]
     for (u, v), j in g.edges().items():
-        zz = 1 - 2 * (((idx >> pos[u]) ^ (idx >> pos[v])) & 1)
-        cost += j * zz
+        p, q = sorted((pos[u], pos[v]))
+        lower[q][p] = j
+    cost = np.zeros(1 << n)
+    field = np.empty(1 << max(n - 1, 0))
+    for q in range(1, n):
+        top = max(lower[q], default=-1) + 1
+        field[0] = 0.0
+        for p in range(top):
+            half = 1 << p
+            j = lower[q].get(p, 0.0)
+            np.subtract(field[:half], j, out=field[half : 2 * half])
+            field[:half] += j
+        width, size = 1 << top, 1 << q
+        h, lo = field[:width], cost[:size].reshape(-1, width)
+        np.subtract(lo, h, out=cost[size : 2 * size].reshape(-1, width))
+        lo += h
     return cost
 
 

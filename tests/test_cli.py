@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rqshot.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -8,6 +9,7 @@ from rqshot.driver import DriverConfig
 from rqshot.features import BinBoundaries
 from rqshot.instance import Instance
 from rqshot.learner import PolicyCheckpoint
+from rqshot.qaoa import Angles
 
 
 def run(*argv):
@@ -188,6 +190,20 @@ class TestKnobsTakeEffect:
         assert cfg.train.eta == 2.0
         assert cfg.driver_config() == DriverConfig()
 
+    def test_train_reads_train_section(self, pipeline, tmp_path):
+        _, inst_path, cap_path = pipeline
+        ini = tmp_path / "train.ini"
+        ini.write_text("[train]\nepisodes = 3\nalpha = 0.25\n")
+        episodes = {}
+        for flags in ((), ("--episodes", "2")):
+            out = tmp_path / f"policy{len(flags)}.json"
+            assert run("--config", str(ini), "train", "--instance", str(inst_path),
+                       "--cap", str(cap_path), *flags, "--out", str(out)) == EXIT_OK
+            ckpt = PolicyCheckpoint.load(out)
+            assert ckpt.config.alpha == 0.25
+            episodes[flags] = ckpt.config.episodes
+        assert episodes == {(): 3, ("--episodes", "2"): 2}
+
     def test_parallel_eval_logs_match_serial(self, pipeline, tmp_path):
         _, inst_path, cap_path = pipeline
         ini = tmp_path / "run.ini"
@@ -217,6 +233,19 @@ class TestOracleCheckCommand:
             return {e: v * 0.5 for e, v in true_fn(g, a).items()}
 
         monkeypatch.setattr(cli_mod, "zz_all_edges", corrupted)
+        assert run("oracle-check", "--n-max", "6", "--cases", "10") == 2
+
+    def test_poor_angle_search_fails(self, monkeypatch):
+        # mutation check: angles worse than the 48 x 24 grid must drive a nonzero exit
+        import rqshot.cli as cli_mod
+
+        true_fn = cli_mod.optimize_angles
+
+        def detuned(g):
+            a = true_fn(g)
+            return Angles(a.gamma, a.beta + np.pi / 8)
+
+        monkeypatch.setattr(cli_mod, "optimize_angles", detuned)
         assert run("oracle-check", "--n-max", "6", "--cases", "10") == 2
 
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -149,7 +151,58 @@ class TestContract:
             assert abs(direct - reduced) < 1e-10
 
 
+def allocating_brute_force(g):
+    """Reference: the brute-force solver with fresh temporaries per edge and chunk.
+
+    Same pinning, bit layout, chunking and smallest-mask tie rule as the
+    production solver, whose buffers are allocated once per call instead.
+    """
+    n = g.node_count
+    nodes = g.nodes
+    pos = {u: i for i, u in enumerate(nodes)}
+    edge_shifts, weights = [], []
+    for (u, v), j in g.edges().items():
+        edge_shifts.append((pos[u] - 1, pos[v] - 1))
+        weights.append(j)
+    total = 1 << (n - 1)
+    chunk = 1 << 18
+    best_cut, best_mask = -math.inf, 0
+    for start in range(0, total, chunk):
+        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        acc = np.zeros(masks.shape[0])
+        for (su, sv), w in zip(edge_shifts, weights):
+            bu = (masks >> su) & 1 if su >= 0 else 0
+            bv = (masks >> sv) & 1 if sv >= 0 else 0
+            acc += w * (bu ^ bv)
+        i = int(np.argmax(acc))
+        if acc[i] > best_cut:
+            best_cut, best_mask = float(acc[i]), int(masks[i])
+    assignment = {nodes[0]: 1}
+    for i in range(1, n):
+        assignment[nodes[i]] = -1 if (best_mask >> (i - 1)) & 1 else 1
+    return best_cut, assignment
+
+
+def integer_weighted_graph(n, p, rng):
+    """Couplings drawn from {-2, -1, 1, 2}, so optimal cuts tie often."""
+    edges = {
+        (u, v): float(rng.choice([-2, -1, 1, 2]))
+        for u, v in itertools.combinations(range(n), 2)
+        if rng.random() < p
+    }
+    return WeightedGraph(range(n), edges)
+
+
 class TestBruteForce:
+    def test_matches_allocating_reference(self, rng):
+        graphs = [integer_weighted_graph(20, 0.15, rng)]  # two chunks of masks
+        for n in range(2, 15):
+            graphs.append(integer_weighted_graph(n, 0.5, rng))
+            graphs.append(random_weighted_graph(n, 0.5, rng))
+        for g in graphs:
+            if g.edge_count:
+                assert brute_force_optimum(g) == allocating_brute_force(g)
+
     def test_single_edge(self):
         e_opt, z = brute_force_optimum(make_graph({(0, 1): 1.0}))
         assert e_opt == pytest.approx(1.0)

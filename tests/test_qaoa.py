@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, optimize, stats
 
 from rqshot.driver import select_edge
-from rqshot.instance import generate_regular_gaussian
+from rqshot.instance import ContractionRecord, ReducedInstance, contract, generate_regular_gaussian
 from rqshot.qaoa import (
     MODE_BINOMIAL,
     MODE_EXACT,
@@ -11,9 +11,11 @@ from rqshot.qaoa import (
     Angles,
     CorrelationSampler,
     ShotPool,
+    _beta_minimum,
+    _cost_diagonal,
+    _EdgeTerms,
     _sample_indices,
     energy_expectation,
-    energy_grid,
     optimize_angles,
     statevector_depth1,
     zz_all_edges,
@@ -33,7 +35,73 @@ def statevector_zz(g, angles, edge):
     return float(np.sum(np.abs(state) ** 2 * z_u * z_v))
 
 
+def edge_cost_diagonal(g):
+    """Reference: the Ising energy of every basis state, one pass per edge."""
+    n = g.node_count
+    pos = {u: q for q, u in enumerate(g.nodes)}
+    idx = np.arange(1 << n)
+    cost = np.zeros(1 << n)
+    for (u, v), j in g.edges().items():
+        cost += j * (1 - 2 * (((idx >> pos[u]) ^ (idx >> pos[v])) & 1))
+    return cost
+
+
+def gather_statevector(g, a):
+    """Reference: the statevector with the mixer applied by index gathers."""
+    n = g.node_count
+    amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+    amps *= np.exp(-1j * a.gamma * edge_cost_diagonal(g))
+    c, s = np.cos(a.beta), np.sin(a.beta)
+    idx = np.arange(1 << n)
+    for q in range(n):
+        mask = 1 << q
+        i0 = idx[(idx & mask) == 0]
+        i1 = i0 | mask
+        a0 = amps[i0].copy()
+        a1 = amps[i1].copy()
+        amps[i0] = c * a0 - 1j * s * a1
+        amps[i1] = -1j * s * a0 + c * a1
+    return amps
+
+
+def dense_statevector(g, a):
+    """Reference: exp(-i beta sum X) exp(-i gamma H) |+>^n with dense matrices.
+
+    Qubit q is bit q of the basis index, so it is the (n-1-q)-th kron factor.
+    """
+    n = g.node_count
+    pos = {u: q for q, u in enumerate(g.nodes)}
+    eye, x, z = np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+
+    def on_qubits(ops):
+        out = np.ones((1, 1))
+        for q in reversed(range(n)):
+            out = np.kron(out, ops.get(q, eye))
+        return out
+
+    zero = np.zeros((1 << n, 1 << n))
+    h_cost = sum((j * on_qubits({pos[u]: z, pos[v]: z}) for (u, v), j in g.edges().items()), zero)
+    h_mix = sum((on_qubits({q: x}) for q in range(n)), zero)
+    plus = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+    return linalg.expm(-1j * a.beta * h_mix) @ (linalg.expm(-1j * a.gamma * h_cost) @ plus)
+
+
 class TestStatevector:
+    def test_matches_gather_reference(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            g = random_weighted_graph(n, rng.uniform(0.1, 0.9), rng)
+            a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
+            assert np.max(np.abs(_cost_diagonal(g) - edge_cost_diagonal(g))) < 1e-12
+            assert np.max(np.abs(statevector_depth1(g, a) - gather_statevector(g, a))) < 1e-12
+
+    def test_matches_dense_matrix_exponentials(self, rng):
+        for n in range(1, 6):
+            for _ in range(3):
+                g = random_weighted_graph(n, 0.7, rng)
+                a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
+                assert np.allclose(statevector_depth1(g, a), dense_statevector(g, a), atol=1e-12)
+
     def test_zero_angles_uniform(self):
         g = make_graph({(0, 1): 1.0, (1, 2): -0.5})
         state = statevector_depth1(g, Angles(0.0, 0.0))
@@ -93,6 +161,61 @@ class TestClosedForm:
             assert energy_expectation(g, a) == pytest.approx(sv_energy, abs=1e-9)
 
 
+def energy_grid(g, gammas, betas):
+    """Reference: the energy surface over a gamma x beta grid, shape (len(gammas), len(betas))."""
+    terms = _EdgeTerms(g)
+    av, bv = terms.ab(np.asarray(gammas))
+    big_a = av @ terms.j
+    big_b = bv @ terms.j
+    betas = np.asarray(betas)
+    return np.sin(4 * betas)[None, :] * big_a[:, None] + (np.sin(2 * betas) ** 2)[None, :] * big_b[:, None]
+
+
+def nelder_mead_angles(g):
+    """Reference: the 2-D search the closed-form beta replaced.
+
+    A 48 x 24 (gamma, beta) grid seeds a bounded Nelder-Mead refinement; the
+    grid winner is kept if refinement does not improve on it.
+    """
+    gammas = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
+    betas = np.linspace(0.0, np.pi, 24, endpoint=False)
+    surface = energy_grid(g, gammas, betas)
+    gi, bi = np.unravel_index(np.argmin(surface), surface.shape)
+    x0 = np.array([gammas[gi], betas[bi]])
+    terms = _EdgeTerms(g)
+
+    def objective(x):
+        av, bv = terms.ab(np.array([x[0]]))
+        return float(np.sin(4 * x[1]) * (av[0] @ terms.j) + np.sin(2 * x[1]) ** 2 * (bv[0] @ terms.j))
+
+    result = optimize.minimize(
+        objective,
+        x0,
+        method="Nelder-Mead",
+        bounds=[(0.0, 2 * np.pi), (0.0, np.pi)],
+        options={"maxfev": 500, "fatol": 1e-8, "xatol": 1e-10},
+    )
+    x = result.x if result.fun <= surface[gi, bi] else x0
+    return Angles(gamma=float(x[0]), beta=float(x[1]))
+
+
+def reduced_graphs(count, rng):
+    """Graphs met along random contraction sequences of regular instances."""
+    graphs = []
+    seed = 0
+    while len(graphs) < count:
+        n = int(rng.integers(9, 15))
+        d = int(rng.choice([dd for dd in (3, 4, 5, 6) if n * dd % 2 == 0]))
+        red = ReducedInstance.fresh(generate_regular_gaussian(n, d, seed=seed))
+        seed += 1
+        while red.graph.node_count > 8 and red.graph.edge_count > 0:
+            graphs.append(red.graph)
+            edges = red.graph.edge_list()
+            u, v = edges[int(rng.integers(len(edges)))]
+            red = contract(red, ContractionRecord(max(u, v), min(u, v), int(rng.choice([-1, 1]))))
+    return graphs[:count]
+
+
 class TestOptimizeAngles:
     def test_single_edge_reaches_exact_optimum(self):
         # oracle-derived: depth-1 on an isolated edge reaches <ZZ> = -1
@@ -128,7 +251,35 @@ class TestOptimizeAngles:
             g = generate_regular_gaussian(8, 5, seed=seed)
             a = optimize_angles(g)
             assert 0 <= a.gamma <= 2 * np.pi
-            assert 0 <= a.beta <= np.pi
+            assert 0 <= a.beta < np.pi / 2
+
+    def test_closed_form_beta_matches_dense_beta_grid(self, rng):
+        betas = np.linspace(0.0, np.pi, 4096, endpoint=False)
+        step = betas[1]
+        for _ in range(3):
+            g = random_weighted_graph(8, 0.5, rng)
+            gammas = rng.uniform(0, 2 * np.pi, 8)
+            grid = energy_grid(g, gammas, betas)
+            terms = _EdgeTerms(g)
+            av, bv = terms.ab(gammas)
+            envelope, beta_star = _beta_minimum(av @ terms.j, bv @ terms.j)
+            at_star = np.diagonal(energy_grid(g, gammas, beta_star))
+            assert np.all((0 <= beta_star) & (beta_star < np.pi / 2))
+            assert np.allclose(at_star, envelope, atol=1e-12)
+            assert np.all(at_star <= grid.min(axis=1) + 1e-12)
+            # the grid's best beta lies within one step of beta*, modulo pi/2
+            gap = (betas[grid.argmin(axis=1)] - beta_star) % (np.pi / 2)
+            assert np.all(np.minimum(gap, np.pi / 2 - gap) <= step)
+
+    def test_no_worse_than_nelder_mead_on_reduced_graphs(self):
+        graphs = reduced_graphs(60, np.random.default_rng(847))
+        assert len({g.signature() for g in graphs}) >= 50
+        for g in graphs:
+            new, old = optimize_angles(g), nelder_mead_angles(g)
+            assert 0 <= new.beta < np.pi / 2
+            assert energy_expectation(g, new) <= energy_expectation(g, old) + 1e-12
+            zz_new, zz_old = zz_all_edges(g, new), zz_all_edges(g, old)
+            assert max(abs(zz_new[e] - zz_old[e]) for e in zz_old) < 1e-6
 
     def test_edgeless_rejected(self):
         from rqshot.instance import WeightedGraph
