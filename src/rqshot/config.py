@@ -8,7 +8,7 @@ Sections: [run], [sampling], [bins], [train], [benchmark].
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .benchmark import CAP_GRID, HARD_RATIO_THRESHOLD, OPERATIONAL_SR_FLOOR, SCREEN_CAP
@@ -64,57 +64,57 @@ def _ints(raw: str) -> tuple[int, ...]:
     return tuple(int(x) for x in raw.replace(",", " ").split())
 
 
+_PARSE = {"int": int, "float": float, "str": str, "tuple[int, ...]": _ints, "tuple[float, ...]": _floats}
+
+# INI section -> the RunConfig fields it sets; [bins] and [train] set every field of
+# BinBoundaries and TrainConfig, [sampling] calls sampling_mode "mode", and [train]
+# also takes "preset", the TrainConfig the section starts from.
+_RUN_SECTIONS = {
+    "run": ("master_seed", "n_c", "rho_star", "jobs"),
+    "sampling": ("sampling_mode", "sv_threshold", "sv_max_qubits", "zgap_variant", "k_top"),
+    "benchmark": ("screen_trials", "screen_cap", "hard_threshold", "cal_trials", "cal_target",
+                  "cal_resolution", "cap_grid", "eval_trials", "operational_floor"),
+}
+
+
+def _keys(cls, names=None) -> dict:
+    """INI key -> (field name, parser by the field's type) for fields of cls."""
+    return {("mode" if f.name == "sampling_mode" else f.name): (f.name, _PARSE[f.type])
+            for f in fields(cls) if names is None or f.name in names}
+
+
+_SECTIONS = {name: _keys(RunConfig, names) for name, names in _RUN_SECTIONS.items()} | {
+    "bins": _keys(BinBoundaries), "train": {"preset": ("preset", str), **_keys(TrainConfig)}}
+
+
 def load_config(path: Path | str | None = None) -> RunConfig:
-    """Parse an INI config; missing file or keys fall back to defaults."""
+    """Parse an INI config; missing file or keys fall back to defaults.
+
+    An unknown section or key raises ValueError, so a typo cannot quietly
+    run the reference protocol.
+    """
     cfg = RunConfig()
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
-
-    if parser.has_section("run"):
-        run = parser["run"]
-        cfg.master_seed = run.getint("master_seed", cfg.master_seed)
-        cfg.n_c = run.getint("n_c", cfg.n_c)
-        cfg.rho_star = run.getfloat("rho_star", cfg.rho_star)
-        cfg.jobs = run.getint("jobs", cfg.jobs)
-    if parser.has_section("sampling"):
-        s = parser["sampling"]
-        cfg.sampling_mode = s.get("mode", cfg.sampling_mode)
-        cfg.sv_threshold = s.getint("sv_threshold", cfg.sv_threshold)
-        cfg.sv_max_qubits = s.getint("sv_max_qubits", cfg.sv_max_qubits)
-        cfg.zgap_variant = s.get("zgap_variant", cfg.zgap_variant)
-        cfg.k_top = s.getint("k_top", cfg.k_top)
-    if parser.has_section("bins"):
-        b = parser["bins"]
-        cfg.bins = BinBoundaries(
-            zeta_edges=_floats(b.get("zeta_edges", "1.0 1.2 1.6 2.0 3.0 4.0")),
-            kappa_edges=_floats(b.get("kappa_edges", "0.10 0.20 0.30 0.40")),
-            dist_bins=b.getint("dist_bins", 5),
-        )
-    if parser.has_section("train"):
-        t = parser["train"]
-        base = TrainConfig.preset(t.get("preset", "standard"))
-        for key in base.__dict__:
-            if key in t:
-                current = getattr(base, key)
-                if isinstance(current, int):
-                    setattr(base, key, t.getint(key))
-                else:
-                    setattr(base, key, t.getfloat(key))
-        cfg.train = base
-    if parser.has_section("benchmark"):
-        b = parser["benchmark"]
-        cfg.screen_trials = b.getint("screen_trials", cfg.screen_trials)
-        cfg.screen_cap = b.getint("screen_cap", cfg.screen_cap)
-        cfg.hard_threshold = b.getfloat("hard_threshold", cfg.hard_threshold)
-        cfg.cal_trials = b.getint("cal_trials", cfg.cal_trials)
-        cfg.cal_target = b.getfloat("cal_target", cfg.cal_target)
-        cfg.cal_resolution = b.getint("cal_resolution", cfg.cal_resolution)
-        if "cap_grid" in b:
-            cfg.cap_grid = _ints(b["cap_grid"])
-        cfg.eval_trials = b.getint("eval_trials", cfg.eval_trials)
-        cfg.operational_floor = b.getfloat("operational_floor", cfg.operational_floor)
+    if parser.defaults():
+        raise ValueError(f"unknown config section [{parser.default_section}]")
+    values: dict[str, dict] = {}
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ValueError(f"unknown config section [{section}]")
+        for key, raw in parser[section].items():
+            if key not in _SECTIONS[section]:
+                raise ValueError(f"unknown key {key!r} in config section [{section}]")
+            name, parse = _SECTIONS[section][key]
+            values.setdefault(section, {})[name] = parse(raw)
+    if "train" in values:
+        train = values.pop("train")
+        cfg.train = replace(TrainConfig.preset(train.pop("preset", "standard")), **train)
+    if "bins" in values:
+        cfg.bins = replace(cfg.bins, **values.pop("bins"))
+    for section in values.values():
+        cfg = replace(cfg, **section)
     return cfg

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from rqshot.config import load_config
 from rqshot.driver import DriverConfig
 from rqshot.features import BinBoundaries
 from rqshot.instance import Instance
-from rqshot.learner import PolicyCheckpoint
+from rqshot.learner import PolicyCheckpoint, TrainConfig
 from rqshot.qaoa import Angles
 
 
@@ -287,6 +288,47 @@ class TestConfigFile:
         assert cfg.train.episodes == 99
         assert cfg.cal_trials == 10
         assert cfg.cap_grid == (64, 128, 256)
+
+    @pytest.mark.parametrize("text", [
+        "[benchmark]\neval_trails = 2\n",
+        "[smapling]\nmode = exact\n",
+        "[DEFAULT]\nn_c = 6\n",
+    ], ids=["key", "section", "default-section"])
+    def test_unknown_key_or_section_is_usage_error(self, pipeline, tmp_path, text):
+        _, inst_path, cap_path = pipeline
+        ini = tmp_path / "typo.ini"
+        ini.write_text(text)
+        out = tmp_path / "e"
+        assert run("--config", str(ini), "eval", "--instances", str(inst_path),
+                   "--policies", "uniform", "--cap", str(cap_path), "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_every_key_loads(self, tmp_path):
+        standard = TrainConfig()
+        train = {f.name: getattr(standard, f.name) + 1 if f.type == "int" else getattr(standard, f.name) / 2
+                 for f in fields(TrainConfig)}
+        ini = tmp_path / "all.ini"
+        ini.write_text(
+            "[run]\nmaster_seed = 7\nn_c = 6\nrho_star = 0.98\njobs = 2\n"
+            "[sampling]\nmode = binomial\nsv_threshold = 18\nsv_max_qubits = 21\n"
+            "zgap_variant = relative_gap\nk_top = 4\n"
+            "[bins]\nzeta_edges = 1.0, 2.0\nkappa_edges = 0.2 0.3\ndist_bins = 4\n"
+            "[train]\npreset = aggressive\n"
+            + "".join(f"{k} = {v}\n" for k, v in train.items())
+            + "[benchmark]\nscreen_trials = 11\nscreen_cap = 96\nhard_threshold = 0.75\n"
+            "cal_trials = 12\ncal_target = 0.9\ncal_resolution = 8\ncap_grid = 64 128\n"
+            "eval_trials = 13\noperational_floor = 0.8\n"
+        )
+        cfg = load_config(ini)
+        assert (cfg.master_seed, cfg.n_c, cfg.rho_star, cfg.jobs) == (7, 6, 0.98, 2)
+        assert (cfg.sampling_mode, cfg.sv_threshold, cfg.sv_max_qubits) == ("binomial", 18, 21)
+        assert (cfg.zgap_variant, cfg.k_top) == ("relative_gap", 4)
+        assert cfg.bins == BinBoundaries((1.0, 2.0), (0.2, 0.3), 4)
+        assert cfg.train == TrainConfig(**train)
+        assert all(type(getattr(cfg.train, k)) is type(v) for k, v in train.items())
+        assert (cfg.screen_trials, cfg.screen_cap, cfg.hard_threshold) == (11, 96, 0.75)
+        assert (cfg.cal_trials, cfg.cal_target, cfg.cal_resolution) == (12, 0.9, 8)
+        assert (cfg.cap_grid, cfg.eval_trials, cfg.operational_floor) == ((64, 128), 13, 0.8)
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -3,7 +3,13 @@ import pytest
 from scipy import linalg, optimize, stats
 
 from rqshot.driver import select_edge
-from rqshot.instance import ContractionRecord, ReducedInstance, contract, generate_regular_gaussian
+from rqshot.instance import (
+    ContractionRecord,
+    ReducedInstance,
+    WeightedGraph,
+    contract,
+    generate_regular_gaussian,
+)
 from rqshot.qaoa import (
     MODE_BINOMIAL,
     MODE_EXACT,
@@ -12,8 +18,9 @@ from rqshot.qaoa import (
     CorrelationSampler,
     ShotPool,
     _beta_minimum,
-    _cost_diagonal,
     _EdgeTerms,
+    _mixer_factors,
+    _phase_state,
     _sample_indices,
     energy_expectation,
     optimize_angles,
@@ -64,6 +71,35 @@ def gather_statevector(g, a):
     return amps
 
 
+def butterfly_statevector(g, a):
+    """Reference: the statevector with the mixer applied qubit by qubit.
+
+    Each qubit's mixer is an in-place butterfly over the two halves of
+    ``amps.reshape(-1, 2, 1 << q)``, the amplitude pairs that differ in bit q.
+    """
+    n = g.node_count
+    amps = 2.0 ** (-n / 2) * np.exp(-1j * a.gamma * edge_cost_diagonal(g))
+    c, mix = np.cos(a.beta), -1j * np.sin(a.beta)
+    scratch = np.empty((2, 1 << max(n - 1, 0)), dtype=complex)
+    for q in range(n):
+        pairs = amps.reshape(-1, 2, 1 << q)
+        a0, a1 = pairs[:, 0, :], pairs[:, 1, :]
+        t0, t1 = (half.reshape(a0.shape) for half in scratch)
+        np.multiply(a0, mix, out=t0)
+        np.multiply(a1, mix, out=t1)
+        a0 *= c
+        a0 += t1
+        a1 *= c
+        a1 += t0
+    return amps
+
+
+def phase_state(g, gamma):
+    out = np.empty(1 << g.node_count, dtype=complex)
+    _phase_state(g, gamma, out, np.empty_like(out))
+    return out
+
+
 def dense_statevector(g, a):
     """Reference: exp(-i beta sum X) exp(-i gamma H) |+>^n with dense matrices.
 
@@ -92,8 +128,40 @@ class TestStatevector:
             n = int(rng.integers(1, 13))
             g = random_weighted_graph(n, rng.uniform(0.1, 0.9), rng)
             a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
-            assert np.max(np.abs(_cost_diagonal(g) - edge_cost_diagonal(g))) < 1e-12
+            phased = 2.0 ** (-n / 2) * np.exp(-1j * a.gamma * edge_cost_diagonal(g))
+            assert np.max(np.abs(phase_state(g, a.gamma) - phased)) < 1e-12
             assert np.max(np.abs(statevector_depth1(g, a) - gather_statevector(g, a))) < 1e-12
+
+    @pytest.mark.parametrize("n", range(15, 21))
+    def test_matches_butterfly_reference(self, n):
+        # n = 15..20 gives the last block every width from 1 to 5, and each n
+        # runs outer axes from 2**(n-5) rows down to one
+        rng = np.random.default_rng(n)
+        g = random_weighted_graph(n, 0.3, rng)
+        a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
+        assert np.max(np.abs(statevector_depth1(g, a) - butterfly_statevector(g, a))) < 1e-12
+
+    def test_small_and_edgeless_graphs(self):
+        a = Angles(0.9, 0.35)
+        for n in (0, 1):
+            g = WeightedGraph(range(n), {})
+            assert np.allclose(statevector_depth1(g, a), dense_statevector(g, a), atol=1e-15)
+        # no couplings: each qubit is exp(-i beta X)|+> = e^{-i beta}|+>
+        g = WeightedGraph(range(7), {})
+        assert np.allclose(statevector_depth1(g, a), 2**-3.5 * np.exp(-7j * a.beta), atol=1e-15)
+        # qubits 0, 2 and 4 have no lower neighbour; 4 has no neighbour at all
+        g = WeightedGraph(range(6), {(0, 1): 0.8, (1, 3): -1.1, (2, 3): 0.5, (2, 5): 1.4})
+        assert np.max(np.abs(phase_state(g, a.gamma)
+                             - 2**-3 * np.exp(-1j * a.gamma * edge_cost_diagonal(g)))) < 1e-15
+        assert np.allclose(statevector_depth1(g, a), dense_statevector(g, a), atol=1e-12)
+
+    def test_mixer_factors_match_matrix_exponential(self):
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for beta in (0.0, 0.4, 1.3):
+            for b, factor in enumerate(_mixer_factors(beta, 5), start=1):
+                sum_x = sum(np.kron(np.kron(np.eye(1 << q), x), np.eye(1 << (b - 1 - q)))
+                            for q in range(b))
+                assert np.max(np.abs(factor - linalg.expm(-1j * beta * sum_x))) < 1e-12
 
     def test_matches_dense_matrix_exponentials(self, rng):
         for n in range(1, 6):
@@ -282,8 +350,6 @@ class TestOptimizeAngles:
             assert max(abs(zz_new[e] - zz_old[e]) for e in zz_old) < 1e-6
 
     def test_edgeless_rejected(self):
-        from rqshot.instance import WeightedGraph
-
         with pytest.raises(ValueError, match="edgeless"):
             optimize_angles(WeightedGraph(range(3), {}))
 
@@ -323,6 +389,27 @@ class TestSampling:
         expected = k * np.abs(state) ** 2
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(0.999, df=15)
+
+    def test_cumulative_probs_equal_unfused_expression(self):
+        # squaring, normalising and summing in place must not change a bit
+        for n, d in ((10, 3), (14, 8)):
+            g = generate_regular_gaussian(n, d, seed=847)
+            a = optimize_angles(g)
+            sampler = CorrelationSampler(g, a, mode=MODE_STATEVECTOR)
+            assert np.array_equal(sampler.cumulative_probs(), cumulative(statevector_depth1(g, a)))
+
+    @pytest.mark.parametrize("n, d", [(14, 8), (16, 5)])
+    def test_draws_match_butterfly_reference(self, n, d):
+        g = generate_regular_gaussian(n, d, seed=847)
+        a = optimize_angles(g)
+        new = CorrelationSampler(g, a, mode=MODE_STATEVECTOR)
+        old = CorrelationSampler(g, a, mode=MODE_STATEVECTOR,
+                                 cumulative_probs=cumulative(butterfly_statevector(g, a)))
+        for seed in range(4):
+            for k in (64, 4096):
+                got = new.draw(k, np.random.default_rng(seed)).disagree
+                want = old.draw(k, np.random.default_rng(seed)).disagree
+                assert np.array_equal(got, want)
 
     def test_shot_count_validated(self, rng):
         g = make_graph({(0, 1): 1.0})
