@@ -33,7 +33,6 @@ from .instance import (
     generate_instance,
     generate_regular_gaussian,
     graph_distance,
-    ising_energy,
     reconstruct_assignment,
 )
 from .learner import (
@@ -49,9 +48,7 @@ from .learner import (
 )
 from .qaoa import (
     Angles,
-    CorrelationEstimate,
     CorrelationSampler,
-    energy_expectation,
     optimize_angles,
     statevector_depth1,
     zz_all_edges,

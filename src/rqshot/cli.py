@@ -259,13 +259,13 @@ def cmd_report(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _statevector_zz(g, a: Angles) -> dict[tuple[int, int], float]:
-    """<Z_u Z_v> of every edge, read off the simulated state."""
+def _statevector_zz(g, a: Angles) -> np.ndarray:
+    """<Z_u Z_v> of every edge in edge_list() order, read off the simulated state."""
     probs = np.abs(statevector_depth1(g, a)) ** 2
+    ends, _ = g.edge_index()
     idx = np.arange(1 << g.node_count)
     z = 1 - 2 * ((idx[:, None] >> np.arange(g.node_count)) & 1)
-    pos = {u: q for q, u in enumerate(g.nodes)}
-    return {(u, v): float(np.sum(probs * z[:, pos[u]] * z[:, pos[v]])) for u, v in g.edge_list()}
+    return probs @ (z[:, ends[:, 0]] * z[:, ends[:, 1]])
 
 
 def _grid_minimum(g) -> float:
@@ -296,12 +296,8 @@ def cmd_oracle_check(args, cfg: RunConfig) -> int:
         if g.edge_count == 0:
             continue
         a = Angles(gamma=float(rng.uniform(0, 2 * np.pi)), beta=float(rng.uniform(0, np.pi)))
-        sv = _statevector_zz(g, a)
-        closed = zz_all_edges(g, a)
-        worst = max(worst, max(abs(sv[e] - cf) for e, cf in closed.items()))
-
-        sv = _statevector_zz(g, optimize_angles(g))
-        energy = sum(j * sv[e] for e, j in g.edges().items())
+        worst = max(worst, float(np.max(np.abs(_statevector_zz(g, a) - zz_all_edges(g, a)))))
+        energy = float(_statevector_zz(g, optimize_angles(g)) @ g.edge_index()[1])
         worst_angles = max(worst_angles, energy - _grid_minimum(g))
     print(f"closed form vs statevector: max |delta| = {worst:.3e} over {args.cases} cases")
     print(f"angle search energy minus 48x24 grid minimum: max {worst_angles:.3e}")
@@ -312,10 +308,10 @@ def cmd_oracle_check(args, cfg: RunConfig) -> int:
     a = optimize_angles(inst.graph)
     sampler = CorrelationSampler(inst.graph, a, mode="statevector_sampled")
     exact = sampler.exact_values()
-    edge = max(exact, key=lambda e: abs(exact[e]))
+    edge = int(np.argmax(np.abs(exact)))
     reps, k = 2000, 256
     est_rng = make_rng(args.check_seed, "oracle-estimator")
-    means = [sampler.estimate(sampler.draw(k, est_rng)).values[edge] for _ in range(reps)]
+    means = [sampler.estimate(sampler.draw(k, est_rng))[edge] for _ in range(reps)]
     m = exact[edge]
     se = np.sqrt((1 - m**2) / k / reps)
     bias = abs(np.mean(means) - m)

@@ -15,7 +15,7 @@ from .benchmark import CAP_GRID, HARD_RATIO_THRESHOLD, OPERATIONAL_SR_FLOOR, SCR
 from .driver import DriverConfig
 from .features import BinBoundaries
 from .learner import TrainConfig
-from .qaoa import MODE_AUTO, STATEVECTOR_MAX_QUBITS, STATEVECTOR_SAMPLING_THRESHOLD
+from .qaoa import MODE_AUTO, STATEVECTOR_SAMPLING_THRESHOLD
 
 
 @dataclass
@@ -27,7 +27,6 @@ class RunConfig:
     rho_star: float = 0.99
     sampling_mode: str = MODE_AUTO
     sv_threshold: int = STATEVECTOR_SAMPLING_THRESHOLD
-    sv_max_qubits: int = STATEVECTOR_MAX_QUBITS
     zgap_variant: str = "literal"
     k_top: int = 3
     bins: BinBoundaries = field(default_factory=BinBoundaries)
@@ -49,7 +48,6 @@ class RunConfig:
             rho_star=self.rho_star,
             sampling_mode=self.sampling_mode,
             sv_threshold=self.sv_threshold,
-            sv_max_qubits=self.sv_max_qubits,
             zgap_variant=self.zgap_variant,
             k_top=self.k_top,
             bins=self.bins,
@@ -71,7 +69,7 @@ _PARSE = {"int": int, "float": float, "str": str, "tuple[int, ...]": _ints, "tup
 # also takes "preset", the TrainConfig the section starts from.
 _RUN_SECTIONS = {
     "run": ("master_seed", "n_c", "rho_star", "jobs"),
-    "sampling": ("sampling_mode", "sv_threshold", "sv_max_qubits", "zgap_variant", "k_top"),
+    "sampling": ("sampling_mode", "sv_threshold", "zgap_variant", "k_top"),
     "benchmark": ("screen_trials", "screen_cap", "hard_threshold", "cal_trials", "cal_target",
                   "cal_resolution", "cap_grid", "eval_trials", "operational_floor"),
 }
@@ -90,22 +88,28 @@ _SECTIONS = {name: _keys(RunConfig, names) for name, names in _RUN_SECTIONS.item
 def load_config(path: Path | str | None = None) -> RunConfig:
     """Parse an INI config; missing file or keys fall back to defaults.
 
-    An unknown section or key raises ValueError, so a typo cannot quietly
-    run the reference protocol.
+    A malformed file (a repeated key, no section header) or an unknown
+    section or key raises ValueError, so a typo cannot quietly run the
+    reference protocol.
     """
     cfg = RunConfig()
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from None
+    if not found:
         raise FileNotFoundError(f"config file not found: {path}")
     if parser.defaults():
         raise ValueError(f"unknown config section [{parser.default_section}]")
     values: dict[str, dict] = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SECTIONS:
             raise ValueError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
+        for key, raw in items.items():
             if key not in _SECTIONS[section]:
                 raise ValueError(f"unknown key {key!r} in config section [{section}]")
             name, parse = _SECTIONS[section][key]

@@ -26,14 +26,15 @@ from .features import (
     DiscreteState,
     StepState,
     discretize,
+    edge_order,
     extract_state,
     probe_shot_count,
-    ranked_edges,
 )
 from .instance import (
     ContractionRecord,
     Instance,
     ReducedInstance,
+    WeightedGraph,
     brute_force_optimum,
     contract,
     cut_value,
@@ -44,10 +45,8 @@ from .qaoa import (
     MODE_BINOMIAL,
     MODE_EXACT,
     MODE_STATEVECTOR,
-    STATEVECTOR_MAX_QUBITS,
     STATEVECTOR_SAMPLING_THRESHOLD,
     Angles,
-    CorrelationEstimate,
     CorrelationSampler,
     optimize_angles,
 )
@@ -61,7 +60,6 @@ class DriverConfig:
     rho_star: float = 0.99
     sampling_mode: str = MODE_AUTO
     sv_threshold: int = STATEVECTOR_SAMPLING_THRESHOLD
-    sv_max_qubits: int = STATEVECTOR_MAX_QUBITS
     zgap_variant: str = "literal"
     k_top: int = 3
     bins: BinBoundaries = field(default_factory=BinBoundaries)
@@ -88,11 +86,11 @@ class StepCache:
     are tiny and kept unbounded.
     """
 
-    def __init__(self, max_prob_entries: int | None = None):
+    def __init__(self):
         self.angles: dict[tuple, Angles] = {}
-        self.exact: dict[tuple, dict] = {}
+        self.exact: dict[tuple, np.ndarray] = {}
         self._probs: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._max_prob = max_prob_entries
+        self._max_prob: int | None = None
 
     def probs_get(self, key: tuple) -> np.ndarray | None:
         if key not in self._probs:
@@ -167,18 +165,18 @@ class EpisodeResult:
         }
 
 
-def select_edge(est: CorrelationEstimate) -> tuple[int, int, int]:
-    """Pick the edge with the largest |correlation|.
+def select_edge(g: WeightedGraph, est: np.ndarray, order: np.ndarray) -> tuple[int, int, int]:
+    """Pick the edge with the largest |correlation|: the first of ``order``.
 
-    Returns (eliminated, kept, sign): the larger endpoint id is eliminated,
-    ties in magnitude break lexicographically, and sign(0) is +1.
+    ``order`` is edge_order(est), so ties in magnitude break
+    lexicographically.  Returns (eliminated, kept, sign): the larger
+    endpoint id is eliminated, and sign(0) is +1.
     """
-    if not est.values:
+    if not len(order):
         raise ValueError("cannot select an edge from an empty estimate")
-    edge = ranked_edges(est)[0]
-    value = est.values[edge]
-    sign = -1 if value < 0 else 1
-    return max(edge), min(edge), sign
+    i = int(order[0])
+    kept, eliminated = g.edge_list()[i]
+    return eliminated, kept, -1 if est[i] < 0 else 1
 
 
 def success(e_out: float, e_opt: float, rho_star: float = 0.99) -> int:
@@ -230,14 +228,13 @@ def run_episode(
             angles,
             mode=cfg.sampling_mode,
             sv_threshold=cfg.sv_threshold,
-            sv_max_qubits=cfg.sv_max_qubits,
             exact_values=cache.exact.get(key),
             cumulative_probs=cache.probs_get(key),
         )
 
         if sampler.mode == MODE_EXACT:
-            probe_est = sampler.exact_estimate()
-            cache.exact.setdefault(key, sampler.exact_values())
+            probe_est = sampler.exact_values()
+            cache.exact.setdefault(key, probe_est)
         else:
             probe_pool = sampler.draw(k_probe, rng)
             probe_est = sampler.estimate(probe_pool)
@@ -261,9 +258,9 @@ def run_episode(
         if sampler.mode == MODE_BINOMIAL:
             cache.exact.setdefault(key, sampler.exact_values())
 
-        elim, kept, sign = select_edge(main_est)
+        order = edge_order(main_est)
+        elim, kept, sign = select_edge(g, main_est, order)
         red = contract(red, ContractionRecord(eliminated=elim, kept=kept, sign=sign))
-        top_two = sorted((abs(v) for v in main_est.values.values()), reverse=True)[:2]
         steps.append(
             StepLog(
                 step=len(steps) + 1,
@@ -273,9 +270,9 @@ def run_episode(
                 baseline_index=decision.baseline_index,
                 residual=decision.residual,
                 shots=k_t,
-                edge=(min((elim, kept)), max((elim, kept))),
+                edge=(kept, elim),
                 sign=sign,
-                top_two=tuple(top_two),
+                top_two=tuple(np.abs(main_est[order[:2]]).tolist()),
             )
         )
         total_shots += k_t

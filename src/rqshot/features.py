@@ -1,5 +1,8 @@
 """Four-feature step state extracted from a probe estimate, plus binning.
 
+An estimate is one correlation per edge, in the graph's edge_list() order.
+It is ranked once (edge_order) and every feature reads that ranking.
+
 The state is (m, zeta, kappa, dist):
 
   m      remaining active variables
@@ -17,8 +20,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
+import numpy as np
+
 from .instance import UNREACHABLE, WeightedGraph, graph_distance
-from .qaoa import CorrelationEstimate
 
 ZGAP_EPS = 1e-12
 ZGAP_SENTINEL = 1e18
@@ -100,23 +104,26 @@ def probe_shot_count(n: int) -> int:
     return 16 if n <= 16 else 32
 
 
-def ranked_edges(est: CorrelationEstimate) -> list[tuple[int, int]]:
-    """Edges sorted by |correlation| descending, lexicographic on ties."""
-    return sorted(est.values, key=lambda e: (-abs(est.values[e]), e))
+def edge_order(est: np.ndarray) -> np.ndarray:
+    """Edge positions by |correlation| descending, lexicographic on ties.
+
+    Estimates are in edge_list() order, which is lexicographic, so a stable
+    sort keeps that order among equal magnitudes (0.0 and -0.0 included).
+    """
+    return np.argsort(-np.abs(est), kind="stable")
 
 
-def zgap(est: CorrelationEstimate, variant: str = ZGAP_LITERAL) -> float:
-    """Ratio of the two largest |correlations|.
+def zgap(est: np.ndarray, order: np.ndarray, variant: str = ZGAP_LITERAL) -> float:
+    """Ratio of the two largest |correlations|, read off the estimate's edge_order.
 
     With fewer than two edges there is nothing to confuse, so the sentinel
     maps the step to the most confident bin.  The literal variant is clamped
     to >= 1: the clamp only engages when both magnitudes sit at the
     regularization scale, which is an exact tie for every practical purpose.
     """
-    mags = sorted((abs(v) for v in est.values.values()), reverse=True)
-    if len(mags) < 2:
+    if len(order) < 2:
         return ZGAP_SENTINEL
-    m1, m2 = mags[0], mags[1]
+    m1, m2 = (abs(float(est[i])) for i in order[:2])
     if variant == ZGAP_RELATIVE:
         return (m1 - m2) / (m1 + ZGAP_EPS)
     if variant != ZGAP_LITERAL:
@@ -124,39 +131,36 @@ def zgap(est: CorrelationEstimate, variant: str = ZGAP_LITERAL) -> float:
     return max(1.0, m1 / (m2 + ZGAP_EPS))
 
 
-def conflict_ratio(est: CorrelationEstimate, k_top: int = 3) -> float:
+def conflict_ratio(g: WeightedGraph, order: np.ndarray, k_top: int = 3) -> float:
     """1 - (unique endpoints of the top-k edges) / (2k), k = min(k_top, |E|)."""
-    if not est.values:
+    if not len(order):
         raise ValueError("conflict ratio needs at least one edge")
-    top = ranked_edges(est)[: min(k_top, len(est.values))]
-    endpoints = {u for e in top for u in e}
-    return 1.0 - len(endpoints) / (2 * len(top))
+    top = g.edge_index()[0][order[:k_top]]
+    return 1.0 - len(set(top.ravel().tolist())) / top.size
 
 
-def edge_distance(g: WeightedGraph, est: CorrelationEstimate) -> int:
+def edge_distance(g: WeightedGraph, order: np.ndarray) -> int:
     """Minimum hop distance between endpoints of the two leading edges."""
-    if len(est.values) < 2:
+    if len(order) < 2:
         return DIST_SENTINEL
-    e1, e2 = ranked_edges(est)[:2]
-    best = DIST_SENTINEL
-    for u in e1:
-        for v in e2:
-            best = min(best, graph_distance(g, u, v))
-    return best
+    edges = g.edge_list()
+    e1, e2 = edges[order[0]], edges[order[1]]
+    return min(graph_distance(g, u, v) for u in e1 for v in e2)
 
 
 def extract_state(
     g: WeightedGraph,
-    est: CorrelationEstimate,
+    est: np.ndarray,
     k_top: int = 3,
     zgap_variant: str = ZGAP_LITERAL,
 ) -> StepState:
-    """Assemble the full step state from a probe estimate."""
+    """Assemble the full step state from a probe estimate in edge_list() order."""
+    order = edge_order(est)
     return StepState(
         m=g.node_count,
-        zeta=zgap(est, variant=zgap_variant),
-        kappa=conflict_ratio(est, k_top=k_top),
-        dist=edge_distance(g, est),
+        zeta=zgap(est, order, variant=zgap_variant),
+        kappa=conflict_ratio(g, order, k_top=k_top),
+        dist=edge_distance(g, order),
     )
 
 

@@ -47,7 +47,7 @@ class WeightedGraph:
     (nodes, edges, neighbors) are sorted and therefore deterministic.
     """
 
-    __slots__ = ("_nodes", "_edges", "_adj", "_signature")
+    __slots__ = ("_nodes", "_edges", "_adj", "_signature", "_index")
 
     def __init__(
         self,
@@ -79,6 +79,7 @@ class WeightedGraph:
         self._edges: dict[tuple[int, int], float] = dict(sorted(clean.items()))
         self._adj = adj
         self._signature: tuple | None = None
+        self._index: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -116,6 +117,20 @@ class WeightedGraph:
 
     def degree(self, u: int) -> int:
         return len(self._adj[u])
+
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint qubits (E x 2) and couplings (E,) of the edges, in edge_list() order.
+
+        Qubit q is the q-th node in sorted order, so each row is increasing.
+        Computed once per graph; both arrays are read-only.
+        """
+        if self._index is None:
+            pos = {u: q for q, u in enumerate(self._nodes)}
+            ends = np.array([(pos[u], pos[v]) for u, v in self._edges], dtype=np.intp).reshape(-1, 2)
+            j = np.fromiter(self._edges.values(), dtype=float, count=len(self._edges))
+            ends.flags.writeable = j.flags.writeable = False
+            self._index = (ends, j)
+        return self._index
 
     def signature(self) -> tuple:
         """Hashable identity used as a cache key for per-graph computations."""
@@ -206,10 +221,6 @@ def reconstruct_assignment(
     return z
 
 
-def ising_energy(g: WeightedGraph, z: Mapping[int, int]) -> float:
-    return sum(j * z[u] * z[v] for (u, v), j in g.edges().items())
-
-
 def cut_value(g: WeightedGraph, z: Mapping[int, int]) -> float:
     return sum(j * (1 - z[u] * z[v]) / 2 for (u, v), j in g.edges().items())
 
@@ -230,10 +241,7 @@ def brute_force_optimum(g: WeightedGraph) -> tuple[float, dict[int, int]]:
     if g.edge_count == 0:
         return 0.0, {u: 1 for u in nodes}
 
-    pos = {u: i for i, u in enumerate(nodes)}
-    edges = g.edges()
-    ends = [(pos[u], pos[v]) for u, v in edges]
-    weights = np.array(list(edges.values()))
+    ends, weights = g.edge_index()
 
     # bit i-1 of the mask is the spin of nodes[i], copied to row i of bits;
     # row 0 stays 0 because nodes[0] is pinned to +1.  Every buffer is
@@ -255,7 +263,7 @@ def brute_force_optimum(g: WeightedGraph) -> tuple[float, dict[int, int]]:
             np.right_shift(masks, i - 1, out=shifted)
             np.bitwise_and(shifted, 1, out=bits[i], casting="unsafe")
         acc.fill(0.0)
-        for (iu, iv), w in zip(ends, weights):
+        for (iu, iv), w in zip(ends.tolist(), weights):
             np.bitwise_xor(bits[iu], bits[iv], out=flips)
             np.multiply(flips, w, out=term)
             acc += term

@@ -7,29 +7,33 @@ part:
 
     <Z_u Z_v> = sin(4 beta) * a_uv(gamma) + sin^2(2 beta) * b_uv(gamma)
 
-    a_uv = sin(2 gamma J_uv) / 2 * (  prod_{w in N(u)\\v} cos(2 gamma J_uw)
-                                    + prod_{w in N(v)\\u} cos(2 gamma J_vw) )
-    b_uv = -1/2 * prod_{w in N(u)\\(F+v)} cos(2 gamma J_uw)
-                * prod_{w in N(v)\\(F+u)} cos(2 gamma J_vw)
-                * (  prod_{f in F} cos(2 gamma (J_uf + J_vf))
-                   - prod_{f in F} cos(2 gamma (J_uf - J_vf)) )
+    a_uv = sin(2 gamma J_uv) / 2 * (  prod_w cos(2 gamma R_u,w)
+                                    + prod_w cos(2 gamma R_v,w) )
+    b_uv = -1/2 * (  prod_w cos(2 gamma (R_u,w + R_v,w))
+                   - prod_w cos(2 gamma (R_u,w - R_v,w)) )
 
-with F the shared neighbors of u and v.  Summed with the couplings, the
-energy is A(gamma) sin 4beta + B(gamma) sin^2 2beta, whose minimum over beta
-is B/2 - sqrt(A^2 + B^2/4) in closed form (Wang, Hadfield, Jiang & Rieffel,
-arXiv:1706.02998; Ozaeta, van Dam & McMahon, arXiv:2012.03421), so the angle
-search is a one-dimensional search over gamma.  The expression is validated
-against the statevector simulator in the test suite; the simulator, not the
-formula, is the ground truth.  It builds the phased state
+with R_u the row of u in the coupling matrix, columns u and v zeroed, and w
+over every node: an absent coupling gives cos 0 = 1, and a node coupled to
+one endpoint only gives the same factor in both products of b (the
+all-vertex form of Ozaeta, van Dam & McMahon, arXiv:2012.03421).  Summed
+with the couplings, the energy is A(gamma) sin 4beta + B(gamma) sin^2 2beta,
+whose minimum over beta is B/2 - sqrt(A^2 + B^2/4) in closed form (Wang,
+Hadfield, Jiang & Rieffel, arXiv:1706.02998), so the angle search is a
+one-dimensional search over gamma.  The expression is validated against the
+statevector simulator in the test suite; the simulator, not the formula, is
+the ground truth.  It builds the phased state
 2^(-n/2) exp(-i gamma C(z)) as complex amplitudes by doubling over qubits,
 about 2^(n+1) complex multiplies and no trigonometry over the 2^n entries,
 and applies the mixer to five qubits at a time: one matmul by
 the 32 x 32 factor exp(-i beta X)^(x)5 per block of qubits (fused gates, as
 in Haener & Steiger, arXiv:1704.01127).
 
-Sampled estimates only ever need, per edge, how many shots measured its two
-spins anti-aligned, so a shot pool is that vector of counts whether the
-shots come from the statevector or from per-edge binomial draws.
+Qubits and edges are indexed as WeightedGraph.edge_index() gives them, and
+every per-edge vector here (exact values, shot counts, estimates) is a
+float or integer array in edge_list() order.  Sampled estimates only ever
+need, per edge, how many shots measured its two spins anti-aligned, so a
+shot pool is that vector of counts whether the shots come from the
+statevector or from per-edge binomial draws.
 """
 
 from __future__ import annotations
@@ -65,82 +69,38 @@ class Angles:
             raise ValueError("angles must be finite")
 
 
-@dataclass
-class CorrelationEstimate:
-    """Per-edge ZZ correlations for one step, exact or sampled."""
-
-    values: dict[tuple[int, int], float]
-    shots_used: int
-    mode: str
-    fallback: bool = False
-
-
 class _EdgeTerms:
-    """Padded per-edge neighborhood structure for vectorized evaluation.
+    """Per-edge coupling rows for vectorized evaluation of a_e and b_e.
 
-    Padding couplings with 0 is neutral because cos(0) = 1 inside products.
+    Row e of ``ru`` (``rv``) is the coupling row of edge e's endpoint u (v)
+    with columns u and v zeroed; an absent coupling contributes cos 0 = 1 to
+    every product.
     """
 
     def __init__(self, g: WeightedGraph):
-        edges = list(g.edges().items())
-        self.edge_keys = [e for e, _ in edges]
-        self.j = np.array([j for _, j in edges]) if edges else np.zeros(0)
-
-        nu_rows, nv_rows, xu_rows, xv_rows, sp_rows, sm_rows = [], [], [], [], [], []
-        for (u, v), _ in edges:
-            nbr_u = g.neighbors(u)
-            nbr_v = g.neighbors(v)
-            shared = sorted(set(nbr_u) & set(nbr_v) - {u, v})
-            nu_rows.append([j for w, j in sorted(nbr_u.items()) if w != v])
-            nv_rows.append([j for w, j in sorted(nbr_v.items()) if w != u])
-            xu_rows.append([j for w, j in sorted(nbr_u.items()) if w != v and w not in shared])
-            xv_rows.append([j for w, j in sorted(nbr_v.items()) if w != u and w not in shared])
-            sp_rows.append([nbr_u[f] + nbr_v[f] for f in shared])
-            sm_rows.append([nbr_u[f] - nbr_v[f] for f in shared])
-
-        def pad(rows):
-            width = max((len(r) for r in rows), default=0)
-            out = np.zeros((len(rows), width))
-            for i, r in enumerate(rows):
-                out[i, : len(r)] = r
-            return out
-
-        self.nu, self.nv = pad(nu_rows), pad(nv_rows)
-        self.xu, self.xv = pad(xu_rows), pad(xv_rows)
-        self.sp, self.sm = pad(sp_rows), pad(sm_rows)
+        ends, self.j = g.edge_index()
+        rows = np.zeros((g.node_count, g.node_count))
+        rows[ends[:, 0], ends[:, 1]] = rows[ends[:, 1], ends[:, 0]] = self.j
+        self.ru, self.rv = rows[ends[:, 0]], rows[ends[:, 1]]
+        edge = np.arange(len(ends))
+        self.ru[edge, ends[:, 1]] = self.rv[edge, ends[:, 0]] = 0.0
+        self.rsum, self.rdiff = self.ru + self.rv, self.ru - self.rv
 
     def ab(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Structure coefficients a_e, b_e for each gamma; shape (len(gammas), E)."""
         g2 = 2.0 * np.asarray(gammas, dtype=float).reshape(-1, 1, 1)
-        pu = np.cos(g2 * self.nu).prod(axis=2)
-        pv = np.cos(g2 * self.nv).prod(axis=2)
+        pu = np.cos(g2 * self.ru).prod(axis=2)
+        pv = np.cos(g2 * self.rv).prod(axis=2)
         a = 0.5 * np.sin(g2[:, :, 0] * self.j) * (pu + pv)
-        qu = np.cos(g2 * self.xu).prod(axis=2)
-        qv = np.cos(g2 * self.xv).prod(axis=2)
-        tp = np.cos(g2 * self.sp).prod(axis=2)
-        tm = np.cos(g2 * self.sm).prod(axis=2)
-        b = -0.5 * qu * qv * (tp - tm)
-        return a, b
+        tp = np.cos(g2 * self.rsum).prod(axis=2)
+        tm = np.cos(g2 * self.rdiff).prod(axis=2)
+        return a, -0.5 * (tp - tm)
 
 
-def _zz_vector(terms: _EdgeTerms, a: Angles) -> np.ndarray:
-    av, bv = terms.ab(np.array([a.gamma]))
+def zz_all_edges(g: WeightedGraph, a: Angles) -> np.ndarray:
+    """Exact <Z_u Z_v> for every edge at the given angles, in edge_list() order."""
+    av, bv = _EdgeTerms(g).ab(np.array([a.gamma]))
     return np.sin(4 * a.beta) * av[0] + np.sin(2 * a.beta) ** 2 * bv[0]
-
-
-def zz_all_edges(g: WeightedGraph, a: Angles) -> dict[tuple[int, int], float]:
-    """Exact <Z_u Z_v> for every edge at the given angles."""
-    terms = _EdgeTerms(g)
-    zz = _zz_vector(terms, a)
-    return {e: float(x) for e, x in zip(terms.edge_keys, zz)}
-
-
-def energy_expectation(g: WeightedGraph, a: Angles) -> float:
-    """<H> = sum_e J_e <Z_u Z_v> at the given angles."""
-    terms = _EdgeTerms(g)
-    if terms.j.size == 0:
-        return 0.0
-    return float(terms.j @ _zz_vector(terms, a))
 
 
 def _beta_minimum(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,10 +195,9 @@ def _phase_state(g: WeightedGraph, gamma: float, out: np.ndarray, scratch: np.nd
     broadcast across the rest.
     """
     n = g.node_count
-    pos = {u: q for q, u in enumerate(g.nodes)}
+    ends, couplings = g.edge_index()
     lower: list[dict[int, float]] = [{} for _ in range(n)]
-    for (u, v), j in g.edges().items():
-        p, q = sorted((pos[u], pos[v]))
+    for (p, q), j in zip(ends.tolist(), couplings.tolist()):
         lower[q][p] = j
     out[0] = 2.0 ** (-n / 2)
     for q in range(n):
@@ -294,10 +253,11 @@ class CorrelationSampler:
       statevector_sampled one shared pool of basis-state samples per estimate
       binomial            independent per-edge Binomial(k, (1+M)/2) draws
     ``auto`` picks statevector sampling up to ``sv_threshold`` qubits and
-    the binomial model above it.  A statevector request beyond the hard
-    qubit limit falls back to binomial with the estimate flagged.  Either
-    sampled mode yields a ShotPool, and a pool of k shots with c
-    disagreements on an edge estimates its correlation as (k - 2c) / k.
+    the binomial model above it; a statevector request above
+    STATEVECTOR_MAX_QUBITS samples binomially instead.  Either sampled mode
+    yields a ShotPool, and a pool of k shots with c disagreements on an
+    edge estimates its correlation as (k - 2c) / k.  Estimates and exact
+    values are float arrays in ``edge_list()`` order.
     """
 
     def __init__(
@@ -306,18 +266,15 @@ class CorrelationSampler:
         a: Angles,
         mode: str = MODE_AUTO,
         sv_threshold: int = STATEVECTOR_SAMPLING_THRESHOLD,
-        sv_max_qubits: int = STATEVECTOR_MAX_QUBITS,
-        exact_values: dict[tuple[int, int], float] | None = None,
+        exact_values: np.ndarray | None = None,
         cumulative_probs: np.ndarray | None = None,
     ):
         self.graph = g
         self.angles = a
-        self.fallback = False
         if mode == MODE_AUTO:
             mode = MODE_STATEVECTOR if g.node_count <= sv_threshold else MODE_BINOMIAL
-        if mode == MODE_STATEVECTOR and g.node_count > sv_max_qubits:
+        if mode == MODE_STATEVECTOR and g.node_count > STATEVECTOR_MAX_QUBITS:
             mode = MODE_BINOMIAL
-            self.fallback = True
         if mode not in (MODE_EXACT, MODE_STATEVECTOR, MODE_BINOMIAL):
             raise ValueError(f"unknown sampling mode {mode!r}")
         self.mode = mode
@@ -325,7 +282,7 @@ class CorrelationSampler:
         self._exact = exact_values
         self._cum = cumulative_probs
 
-    def exact_values(self) -> dict[tuple[int, int], float]:
+    def exact_values(self) -> np.ndarray:
         if self._exact is None:
             self._exact = zz_all_edges(self.graph, self.angles)
         return self._exact
@@ -340,38 +297,23 @@ class CorrelationSampler:
             self._cum = np.cumsum(probs, out=probs)
         return self._cum
 
-    def exact_estimate(self) -> CorrelationEstimate:
-        return CorrelationEstimate(
-            values=dict(self.exact_values()), shots_used=0, mode=MODE_EXACT
-        )
-
     def draw(self, k: int, rng: np.random.Generator) -> ShotPool:
         if k < 1:
             raise ValueError("need at least one shot")
-        edges = self.graph.edge_list()
         if self.mode == MODE_STATEVECTOR:
             idx = _sample_indices(self.cumulative_probs(), k, rng)
             bits = ((idx >> np.arange(self.graph.node_count)[:, None]) & 1).astype(np.uint8)
-            ends = np.searchsorted(self.graph.nodes, np.reshape(edges, (-1, 2)))
+            ends, _ = self.graph.edge_index()
             flips = bits[ends[:, 0]] ^ bits[ends[:, 1]]
             return ShotPool(shots=k, disagree=flips.sum(axis=1, dtype=np.int64))
         if self.mode == MODE_BINOMIAL:
-            exact = self.exact_values()
-            agree = [
-                rng.binomial(k, min(1.0, max(0.0, (1.0 + exact[e]) / 2.0))) for e in edges
-            ]
-            return ShotPool(shots=k, disagree=k - np.array(agree, dtype=np.int64))
+            p = np.clip((1.0 + self.exact_values()) / 2.0, 0.0, 1.0)
+            return ShotPool(shots=k, disagree=k - rng.binomial(k, p))
         raise ValueError("exact mode draws no shots")
 
     @staticmethod
     def merge(a: ShotPool, b: ShotPool) -> ShotPool:
         return ShotPool(shots=a.shots + b.shots, disagree=a.disagree + b.disagree)
 
-    def estimate(self, pool: ShotPool) -> CorrelationEstimate:
-        values = (pool.shots - 2 * pool.disagree) / pool.shots
-        return CorrelationEstimate(
-            values=dict(zip(self.graph.edge_list(), values.tolist())),
-            shots_used=pool.shots,
-            mode=self.mode,
-            fallback=self.fallback,
-        )
+    def estimate(self, pool: ShotPool) -> np.ndarray:
+        return (pool.shots - 2 * pool.disagree) / pool.shots

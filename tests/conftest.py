@@ -12,6 +12,17 @@ def make_graph(edge_spec: dict) -> WeightedGraph:
     return WeightedGraph(nodes, edge_spec)
 
 
+def edge_estimate(values: dict) -> tuple[WeightedGraph, np.ndarray]:
+    """A unit-coupling graph on the given edges, and the values as an estimate in its edge order."""
+    g = make_graph({e: 1.0 for e in values})
+    return g, np.array([values[e] for e in g.edge_list()], dtype=float)
+
+
+def ising_energy(g: WeightedGraph, z) -> float:
+    """Reference: sum_e J_uv z_u z_v, edge by edge from the raw dict."""
+    return sum(j * z[u] * z[v] for (u, v), j in g.edges().items())
+
+
 def random_weighted_graph(n: int, p: float, rng: np.random.Generator) -> WeightedGraph:
     """Erdos-Renyi topology with standard-normal couplings; may be disconnected."""
     edges = {}

@@ -231,7 +231,7 @@ class TestOracleCheckCommand:
         true_fn = cli_mod.zz_all_edges
 
         def corrupted(g, a):
-            return {e: v * 0.5 for e, v in true_fn(g, a).items()}
+            return true_fn(g, a) * 0.5
 
         monkeypatch.setattr(cli_mod, "zz_all_edges", corrupted)
         assert run("oracle-check", "--n-max", "6", "--cases", "10") == 2
@@ -293,7 +293,8 @@ class TestConfigFile:
         "[benchmark]\neval_trails = 2\n",
         "[smapling]\nmode = exact\n",
         "[DEFAULT]\nn_c = 6\n",
-    ], ids=["key", "section", "default-section"])
+        "[sampling]\nsv_max_qubits = 21\n",
+    ], ids=["key", "section", "default-section", "removed-sv-max-qubits"])
     def test_unknown_key_or_section_is_usage_error(self, pipeline, tmp_path, text):
         _, inst_path, cap_path = pipeline
         ini = tmp_path / "typo.ini"
@@ -303,6 +304,21 @@ class TestConfigFile:
                    "--policies", "uniform", "--cap", str(cap_path), "--out", str(out)) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "[run]\nn_c = 6\nn_c = 7\n",
+        "n_c = 6\n[run]\nmaster_seed = 1\n",
+        "[run]\n[run]\n",
+    ], ids=["repeated-key", "no-section-header", "repeated-section"])
+    def test_malformed_file_is_usage_error(self, pipeline, tmp_path, capsys, text):
+        _, inst_path, cap_path = pipeline
+        ini = tmp_path / "malformed.ini"
+        ini.write_text(text)
+        out = tmp_path / "e"
+        assert run("--config", str(ini), "eval", "--instances", str(inst_path),
+                   "--policies", "uniform", "--cap", str(cap_path), "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: malformed config file {ini}")
+        assert not out.exists()
+
     def test_every_key_loads(self, tmp_path):
         standard = TrainConfig()
         train = {f.name: getattr(standard, f.name) + 1 if f.type == "int" else getattr(standard, f.name) / 2
@@ -310,7 +326,7 @@ class TestConfigFile:
         ini = tmp_path / "all.ini"
         ini.write_text(
             "[run]\nmaster_seed = 7\nn_c = 6\nrho_star = 0.98\njobs = 2\n"
-            "[sampling]\nmode = binomial\nsv_threshold = 18\nsv_max_qubits = 21\n"
+            "[sampling]\nmode = binomial\nsv_threshold = 18\n"
             "zgap_variant = relative_gap\nk_top = 4\n"
             "[bins]\nzeta_edges = 1.0, 2.0\nkappa_edges = 0.2 0.3\ndist_bins = 4\n"
             "[train]\npreset = aggressive\n"
@@ -321,7 +337,7 @@ class TestConfigFile:
         )
         cfg = load_config(ini)
         assert (cfg.master_seed, cfg.n_c, cfg.rho_star, cfg.jobs) == (7, 6, 0.98, 2)
-        assert (cfg.sampling_mode, cfg.sv_threshold, cfg.sv_max_qubits) == ("binomial", 18, 21)
+        assert (cfg.sampling_mode, cfg.sv_threshold) == ("binomial", 18)
         assert (cfg.zgap_variant, cfg.k_top) == ("relative_gap", 4)
         assert cfg.bins == BinBoundaries((1.0, 2.0), (0.2, 0.3), 4)
         assert cfg.train == TrainConfig(**train)

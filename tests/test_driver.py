@@ -5,13 +5,15 @@ import pytest
 
 from rqshot.allocation import HeuristicPolicy, UniformPolicy
 from rqshot.driver import DriverConfig, StepCache, run_episode, select_edge, success
-from rqshot.features import probe_shot_count
+from rqshot.features import edge_order, probe_shot_count
 from rqshot.instance import Instance, WeightedGraph, generate_instance
-from rqshot.qaoa import CorrelationEstimate
+
+from .conftest import edge_estimate
 
 
-def est_of(values):
-    return CorrelationEstimate(values=values, shots_used=16, mode="statevector_sampled")
+def select_from(values: dict) -> tuple[int, int, int]:
+    g, est = edge_estimate(values)
+    return select_edge(g, est, edge_order(est))
 
 
 @pytest.fixture(scope="module")
@@ -26,24 +28,24 @@ def exact_cfg():
 
 class TestSelectEdge:
     def test_largest_magnitude_wins(self):
-        elim, kept, sign = select_edge(est_of({(0, 1): 0.9, (1, 2): -0.95}))
+        elim, kept, sign = select_from({(0, 1): 0.9, (1, 2): -0.95})
         assert (elim, kept, sign) == (2, 1, -1)
 
     def test_lexicographic_tie_break(self):
-        elim, kept, sign = select_edge(est_of({(0, 1): 0.5, (0, 2): 0.5}))
+        elim, kept, sign = select_from({(0, 1): 0.5, (0, 2): 0.5})
         assert (elim, kept) == (1, 0)
 
     def test_zero_sign_convention(self):
-        _, _, sign = select_edge(est_of({(0, 1): 0.0}))
+        _, _, sign = select_from({(0, 1): 0.0})
         assert sign == 1
 
     def test_larger_endpoint_eliminated(self):
-        elim, kept, _ = select_edge(est_of({(3, 7): -0.4}))
+        elim, kept, _ = select_from({(3, 7): -0.4})
         assert (elim, kept) == (7, 3)
 
     def test_empty_estimate_rejected(self):
         with pytest.raises(ValueError):
-            select_edge(est_of({}))
+            select_from({})
 
 
 class TestSuccess:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,17 +13,60 @@ from rqshot.features import (
     conflict_ratio,
     discretize,
     edge_distance,
+    edge_order,
     extract_state,
     probe_shot_count,
     zgap,
 )
-from rqshot.qaoa import CorrelationEstimate
 
-from .conftest import make_graph
+from .conftest import edge_estimate, make_graph, random_weighted_graph
 
 
-def est_of(values: dict) -> CorrelationEstimate:
-    return CorrelationEstimate(values=values, shots_used=16, mode="statevector_sampled")
+def ranked_edges(g, est) -> list[tuple[int, int]]:
+    """Reference: the dict sort edge_order replaced, |correlation| descending, then the edge."""
+    values = dict(zip(g.edge_list(), est.tolist()))
+    return sorted(values, key=lambda e: (-abs(values[e]), e))
+
+
+def zgap_of(values: dict, **kwargs) -> float:
+    _, est = edge_estimate(values)
+    return zgap(est, edge_order(est), **kwargs)
+
+
+def conflict_ratio_of(values: dict) -> float:
+    g, est = edge_estimate(values)
+    return conflict_ratio(g, edge_order(est))
+
+
+def edge_distance_of(g, values: dict) -> int:
+    est = np.array([values[e] for e in g.edge_list()])
+    return edge_distance(g, edge_order(est))
+
+
+class TestEdgeOrder:
+    def assert_matches_reference(self, g, est):
+        assert [g.edge_list()[i] for i in edge_order(est)] == ranked_edges(g, est)
+
+    def test_exact_ties_and_signed_zeros(self, rng):
+        # few distinct magnitudes, both signs, and 0.0 beside -0.0
+        for _ in range(200):
+            g = random_weighted_graph(int(rng.integers(2, 10)), 0.6, rng)
+            levels = np.array([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0])
+            self.assert_matches_reference(g, levels[rng.integers(len(levels), size=g.edge_count)])
+
+    def test_signed_zeros_keep_edge_order(self):
+        g, est = edge_estimate({(0, 1): 0.0, (0, 2): -0.0, (1, 2): 0.0, (2, 3): -0.0})
+        assert edge_order(est).tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("k", [1, 3, 16, 300])
+    def test_binomial_x_and_k_minus_x_ties(self, k, rng):
+        # (k - 2c) / k for c and k - c are exact negatives, so they tie in magnitude
+        for _ in range(100):
+            g = random_weighted_graph(int(rng.integers(2, 10)), 0.6, rng)
+            disagree = rng.integers(0, k + 1, size=g.edge_count)
+            flip = rng.random(g.edge_count) < 0.5
+            disagree[flip] = k - disagree[flip]
+            self.assert_matches_reference(g, (k - 2 * disagree) / k)
 
 
 class TestProbeShots:
@@ -37,68 +81,67 @@ class TestProbeShots:
 
 class TestZGap:
     def test_simple_ratio(self):
-        assert zgap(est_of({(0, 1): 0.8, (1, 2): 0.4, (2, 3): 0.1})) == pytest.approx(2.0)
+        assert zgap_of({(0, 1): 0.8, (1, 2): 0.4, (2, 3): 0.1}) == pytest.approx(2.0)
 
     def test_exact_tie(self):
-        assert zgap(est_of({(0, 1): 0.5, (1, 2): -0.5})) == pytest.approx(1.0)
+        assert zgap_of({(0, 1): 0.5, (1, 2): -0.5}) == pytest.approx(1.0)
 
     def test_epsilon_floor(self):
-        assert zgap(est_of({(0, 1): 0.3, (1, 2): 0.0})) == pytest.approx(3e11)
+        assert zgap_of({(0, 1): 0.3, (1, 2): 0.0}) == pytest.approx(3e11)
 
     def test_single_edge_sentinel(self):
-        assert zgap(est_of({(0, 1): 0.3})) == ZGAP_SENTINEL
+        assert zgap_of({(0, 1): 0.3}) == ZGAP_SENTINEL
 
     def test_all_zero_is_tie(self):
-        assert zgap(est_of({(0, 1): 0.0, (1, 2): 0.0})) == 1.0
+        assert zgap_of({(0, 1): 0.0, (1, 2): 0.0}) == 1.0
 
     def test_relative_variant_in_unit_interval(self):
-        est = est_of({(0, 1): 0.8, (1, 2): 0.4})
-        assert zgap(est, variant=ZGAP_RELATIVE) == pytest.approx(0.5)
+        assert zgap_of({(0, 1): 0.8, (1, 2): 0.4}, variant=ZGAP_RELATIVE) == pytest.approx(0.5)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            zgap(est_of({(0, 1): 0.1, (1, 2): 0.1}), variant="nope")
+            zgap_of({(0, 1): 0.1, (1, 2): 0.1}, variant="nope")
 
 
 class TestConflictRatio:
     def test_disjoint_top_three(self):
-        est = est_of({(0, 1): 0.9, (2, 3): 0.8, (4, 5): 0.7, (0, 5): 0.1})
-        assert conflict_ratio(est) == pytest.approx(0.0)
+        est = {(0, 1): 0.9, (2, 3): 0.8, (4, 5): 0.7, (0, 5): 0.1}
+        assert conflict_ratio_of(est) == pytest.approx(0.0)
 
     def test_shared_vertex(self):
         # three strongest edges share vertex 0: four unique endpoints
-        est = est_of({(0, 1): 0.9, (0, 2): 0.8, (0, 3): 0.7, (4, 5): 0.1})
-        assert conflict_ratio(est) == pytest.approx(1 / 3)
+        est = {(0, 1): 0.9, (0, 2): 0.8, (0, 3): 0.7, (4, 5): 0.1}
+        assert conflict_ratio_of(est) == pytest.approx(1 / 3)
 
     def test_single_edge_degenerate(self):
-        assert conflict_ratio(est_of({(0, 1): 0.5})) == pytest.approx(0.0)
+        assert conflict_ratio_of({(0, 1): 0.5}) == pytest.approx(0.0)
 
     def test_ties_broken_lexicographically(self):
         # all equal: top-3 must be (0,1), (0,2), (0,3), not an arbitrary subset
-        est = est_of({(0, 1): 0.5, (0, 2): 0.5, (0, 3): 0.5, (4, 5): 0.5})
-        assert conflict_ratio(est) == pytest.approx(1 / 3)
+        est = {(0, 1): 0.5, (0, 2): 0.5, (0, 3): 0.5, (4, 5): 0.5}
+        assert conflict_ratio_of(est) == pytest.approx(1 / 3)
 
     def test_requires_an_edge(self):
         with pytest.raises(ValueError):
-            conflict_ratio(est_of({}))
+            conflict_ratio_of({})
 
 
 class TestEdgeDistance:
     def test_shared_endpoint_zero(self):
         g = make_graph({(0, 1): 1.0, (1, 2): 1.0})
-        assert edge_distance(g, est_of({(0, 1): 0.9, (1, 2): 0.8})) == 0
+        assert edge_distance_of(g, {(0, 1): 0.9, (1, 2): 0.8}) == 0
 
     def test_path_distance_one(self):
         g = make_graph({(0, 1): 1.0, (1, 2): 0.1, (2, 3): 1.0})
-        assert edge_distance(g, est_of({(0, 1): 0.9, (2, 3): 0.8, (1, 2): 0.1})) == 1
+        assert edge_distance_of(g, {(0, 1): 0.9, (2, 3): 0.8, (1, 2): 0.1}) == 1
 
     def test_disconnected_sentinel(self):
         g = make_graph({(0, 1): 1.0, (2, 3): 1.0})
-        assert edge_distance(g, est_of({(0, 1): 0.9, (2, 3): 0.8})) == DIST_SENTINEL
+        assert edge_distance_of(g, {(0, 1): 0.9, (2, 3): 0.8}) == DIST_SENTINEL
 
     def test_single_edge_sentinel(self):
         g = make_graph({(0, 1): 1.0})
-        assert edge_distance(g, est_of({(0, 1): 0.9})) == DIST_SENTINEL
+        assert edge_distance_of(g, {(0, 1): 0.9}) == DIST_SENTINEL
 
 
 class TestDiscretize:
@@ -149,8 +192,7 @@ class TestDiscretize:
 class TestExtractState:
     def test_assembles_all_features(self):
         g = make_graph({(0, 1): 1.0, (1, 2): 0.5, (2, 3): 0.2})
-        est = est_of({(0, 1): 0.8, (1, 2): 0.4, (2, 3): 0.1})
-        s = extract_state(g, est)
+        s = extract_state(g, np.array([0.8, 0.4, 0.1]))
         assert s.m == 4
         assert s.zeta == pytest.approx(2.0)
         assert s.kappa == pytest.approx(1 - 4 / 6)
@@ -160,15 +202,13 @@ class TestExtractState:
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=2, max_size=12))
 def test_zgap_literal_at_least_one(mags):
-    est = est_of({(i, i + 1): v for i, v in enumerate(mags)})
-    assert zgap(est) >= 1.0
+    assert zgap_of({(i, i + 1): v for i, v in enumerate(mags)}) >= 1.0
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=1, max_size=12))
 def test_conflict_ratio_bounds(mags):
-    est = est_of({(i, i + 1): v for i, v in enumerate(mags)})
-    assert 0.0 <= conflict_ratio(est) <= 2 / 3
+    assert 0.0 <= conflict_ratio_of({(i, i + 1): v for i, v in enumerate(mags)}) <= 2 / 3
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,12 +20,11 @@ from rqshot.instance import (
     generate_instance,
     generate_regular_gaussian,
     graph_distance,
-    ising_energy,
     reconstruct_assignment,
     reweighted_instance,
 )
 
-from .conftest import brute_force_reference, make_graph, random_weighted_graph
+from .conftest import brute_force_reference, ising_energy, make_graph, random_weighted_graph
 
 
 class TestWeightedGraph:
@@ -45,6 +44,23 @@ class TestWeightedGraph:
     def test_symmetric_storage(self):
         g = WeightedGraph([0, 1], {(1, 0): 0.5})
         assert g.coupling(0, 1) == g.coupling(1, 0) == 0.5
+
+    def test_edge_index_positions_and_couplings(self):
+        # node ids 3, 7, 9, 12 are qubits 0..3; rows follow edge_list()
+        g = WeightedGraph([12, 3, 9, 7], {(9, 3): -0.4, (12, 7): 1.5, (3, 7): 0.25, (9, 12): 2.0})
+        ends, j = g.edge_index()
+        assert g.edge_list() == [(3, 7), (3, 9), (7, 12), (9, 12)]
+        assert ends.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
+        assert j.tolist() == [0.25, -0.4, 1.5, 2.0]
+        assert g.edge_index() is g.edge_index()
+        with pytest.raises(ValueError, match="read-only"):
+            ends[0, 0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            j[0] = 0.0
+
+    def test_edge_index_of_edgeless_graph(self):
+        ends, j = WeightedGraph(range(3), {}).edge_index()
+        assert ends.shape == (0, 2) and j.shape == (0,)
 
 
 class TestGenerate:

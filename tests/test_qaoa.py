@@ -3,6 +3,7 @@ import pytest
 from scipy import linalg, optimize, stats
 
 from rqshot.driver import select_edge
+from rqshot.features import edge_order
 from rqshot.instance import (
     ContractionRecord,
     ReducedInstance,
@@ -14,6 +15,7 @@ from rqshot.qaoa import (
     MODE_BINOMIAL,
     MODE_EXACT,
     MODE_STATEVECTOR,
+    STATEVECTOR_MAX_QUBITS,
     Angles,
     CorrelationSampler,
     ShotPool,
@@ -22,13 +24,56 @@ from rqshot.qaoa import (
     _mixer_factors,
     _phase_state,
     _sample_indices,
-    energy_expectation,
     optimize_angles,
     statevector_depth1,
     zz_all_edges,
 )
 
 from .conftest import make_graph, random_weighted_graph
+
+
+def energy_expectation(g, a):
+    """Reference: <H> = sum_e J_e <Z_u Z_v> from the closed form."""
+    return float(zz_all_edges(g, a) @ g.edge_index()[1])
+
+
+class PaddedEdgeTerms:
+    """Reference: the closed form over padded neighbour lists that the coupling rows replaced.
+
+    Row e lists, for edge (u, v), the couplings of u's and v's other
+    neighbours (nu, nv), of their neighbours not shared with the other
+    endpoint (xu, xv), and J_uf + J_vf, J_uf - J_vf over the shared ones
+    (sp, sm); padding with 0 is neutral because cos(0) = 1.
+    """
+
+    def __init__(self, g):
+        edges = list(g.edges().items())
+        self.j = np.array([j for _, j in edges]) if edges else np.zeros(0)
+        rows = {name: [] for name in ("nu", "nv", "xu", "xv", "sp", "sm")}
+        for (u, v), _ in edges:
+            nbr_u, nbr_v = g.neighbors(u), g.neighbors(v)
+            shared = sorted(set(nbr_u) & set(nbr_v) - {u, v})
+            rows["nu"].append([j for w, j in sorted(nbr_u.items()) if w != v])
+            rows["nv"].append([j for w, j in sorted(nbr_v.items()) if w != u])
+            rows["xu"].append([j for w, j in sorted(nbr_u.items()) if w != v and w not in shared])
+            rows["xv"].append([j for w, j in sorted(nbr_v.items()) if w != u and w not in shared])
+            rows["sp"].append([nbr_u[f] + nbr_v[f] for f in shared])
+            rows["sm"].append([nbr_u[f] - nbr_v[f] for f in shared])
+        for name, table in rows.items():
+            padded = np.zeros((len(table), max(map(len, table), default=0)))
+            for i, r in enumerate(table):
+                padded[i, : len(r)] = r
+            setattr(self, name, padded)
+
+    def ab(self, gammas):
+        g2 = 2.0 * np.asarray(gammas, dtype=float).reshape(-1, 1, 1)
+
+        def prod(rows):
+            return np.cos(g2 * rows).prod(axis=2)
+
+        a = 0.5 * np.sin(g2[:, :, 0] * self.j) * (prod(self.nu) + prod(self.nv))
+        b = -0.5 * prod(self.xu) * prod(self.xv) * (prod(self.sp) - prod(self.sm))
+        return a, b
 
 
 def statevector_zz(g, angles, edge):
@@ -201,13 +246,11 @@ class TestStatevector:
 class TestClosedForm:
     def test_beta_zero_vanishes(self, rng):
         g = random_weighted_graph(6, 0.6, rng)
-        for value in zz_all_edges(g, Angles(1.3, 0.0)).values():
-            assert value == pytest.approx(0.0)
+        assert np.allclose(zz_all_edges(g, Angles(1.3, 0.0)), 0.0)
 
     def test_gamma_zero_vanishes(self, rng):
         g = random_weighted_graph(6, 0.6, rng)
-        for value in zz_all_edges(g, Angles(0.0, 0.7)).values():
-            assert value == pytest.approx(0.0)
+        assert np.allclose(zz_all_edges(g, Angles(0.0, 0.7)), 0.0)
 
     def test_matches_statevector(self, rng):
         worst = 0.0
@@ -217,7 +260,7 @@ class TestClosedForm:
             if g.edge_count == 0:
                 continue
             a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
-            for edge, value in zz_all_edges(g, a).items():
+            for edge, value in zip(g.edge_list(), zz_all_edges(g, a)):
                 worst = max(worst, abs(statevector_zz(g, a, edge) - value))
         assert worst < 1e-9
 
@@ -227,6 +270,19 @@ class TestClosedForm:
             a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
             sv_energy = sum(j * statevector_zz(g, a, e) for e, j in g.edges().items())
             assert energy_expectation(g, a) == pytest.approx(sv_energy, abs=1e-9)
+
+    def test_coupling_rows_match_padded_neighbour_lists(self, rng):
+        graphs = [random_weighted_graph(int(rng.integers(0, 12)), rng.uniform(0.1, 0.9), rng)
+                  for _ in range(60)]
+        graphs += reduced_graphs(60, np.random.default_rng(5))
+        gammas = np.concatenate([np.linspace(0.0, 2 * np.pi, 48, endpoint=False),
+                                 rng.uniform(0, 2 * np.pi, 16)])
+        for g in graphs:
+            terms, padded = _EdgeTerms(g), PaddedEdgeTerms(g)
+            assert np.array_equal(terms.j, padded.j)
+            for got, want in zip(terms.ab(gammas), padded.ab(gammas)):
+                assert got.shape == want.shape == (len(gammas), g.edge_count)
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
 
 
 def energy_grid(g, gammas, betas):
@@ -346,8 +402,7 @@ class TestOptimizeAngles:
             new, old = optimize_angles(g), nelder_mead_angles(g)
             assert 0 <= new.beta < np.pi / 2
             assert energy_expectation(g, new) <= energy_expectation(g, old) + 1e-12
-            zz_new, zz_old = zz_all_edges(g, new), zz_all_edges(g, old)
-            assert max(abs(zz_new[e] - zz_old[e]) for e in zz_old) < 1e-6
+            assert np.max(np.abs(zz_all_edges(g, new) - zz_all_edges(g, old))) < 1e-6
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError, match="edgeless"):
@@ -419,27 +474,24 @@ class TestSampling:
                 sampler.draw(0, rng)
 
 
-def sampled_estimate(sampler, k, rng):
-    return sampler.estimate(sampler.draw(k, rng))
-
-
 class TestEstimateCorrelations:
     def test_exact_mode_bit_for_bit(self):
         g = make_graph({(0, 1): 0.8, (1, 2): -0.4})
         a = Angles(0.9, 0.3)
-        est = CorrelationSampler(g, a, mode=MODE_EXACT).exact_estimate()
-        assert est.values == zz_all_edges(g, a)
-        assert est.shots_used == 0
-        assert est.mode == MODE_EXACT
+        sampler = CorrelationSampler(g, a, mode=MODE_EXACT)
+        assert sampler.mode == MODE_EXACT
+        assert np.array_equal(sampler.exact_values(), zz_all_edges(g, a))
+        with pytest.raises(ValueError, match="no shots"):
+            sampler.draw(1, np.random.default_rng(0))
 
     def test_binomial_degenerate_plus_one(self, rng):
         # a correlation pinned at +1 estimates to +1 for any k
         g = make_graph({(0, 1): 1.0})
         sampler = CorrelationSampler(g, Angles(0.0, 0.0), mode=MODE_BINOMIAL,
-                                     exact_values={(0, 1): 1.0})
+                                     exact_values=np.array([1.0]))
         for k in (1, 7, 100):
             est = sampler.estimate(sampler.draw(k, rng))
-            assert est.values[(0, 1)] == 1.0
+            assert est.tolist() == [1.0]
 
     def test_large_k_converges_to_closed_form(self):
         g = generate_regular_gaussian(6, 3, seed=2)
@@ -450,34 +502,35 @@ class TestEstimateCorrelations:
         pool = sampler.draw(100_000, rng)
         for _ in range(9):
             pool = CorrelationSampler.merge(pool, sampler.draw(100_000, rng))
-        est = sampler.estimate(pool)
-        assert est.shots_used == 1_000_000
-        for e, m in exact.items():
-            assert abs(est.values[e] - m) < 0.005
+        assert pool.shots == 1_000_000
+        assert np.max(np.abs(sampler.estimate(pool) - exact)) < 0.005
 
     def test_values_within_unit_interval(self, rng):
         g = generate_regular_gaussian(6, 3, seed=2)
         a = optimize_angles(g)
         for mode in (MODE_STATEVECTOR, MODE_BINOMIAL):
-            est = sampled_estimate(CorrelationSampler(g, a, mode=mode), 16, rng)
-            assert all(-1.0 <= v <= 1.0 for v in est.values.values())
-            assert est.shots_used == 16
+            sampler = CorrelationSampler(g, a, mode=mode)
+            pool = sampler.draw(16, rng)
+            est = sampler.estimate(pool)
+            assert pool.shots == 16
+            assert est.shape == (g.edge_count,)
+            assert np.all((-1.0 <= est) & (est <= 1.0))
 
     def test_auto_threshold_picks_mode(self, rng):
         g = generate_regular_gaussian(6, 3, seed=2)
         a = Angles(0.5, 0.5)
-        est = sampled_estimate(CorrelationSampler(g, a, sv_threshold=5), 8, rng)
-        assert est.mode == MODE_BINOMIAL
-        est = sampled_estimate(CorrelationSampler(g, a, sv_threshold=6), 8, rng)
-        assert est.mode == MODE_STATEVECTOR
+        assert CorrelationSampler(g, a, sv_threshold=5).mode == MODE_BINOMIAL
+        assert CorrelationSampler(g, a, sv_threshold=6).mode == MODE_STATEVECTOR
 
-    def test_statevector_fallback_flagged(self, rng):
-        g = generate_regular_gaussian(6, 3, seed=2)
-        sampler = CorrelationSampler(g, Angles(0.5, 0.5), mode=MODE_STATEVECTOR, sv_max_qubits=4)
-        assert sampler.mode == MODE_BINOMIAL
-        assert sampler.fallback
-        est = sampler.estimate(sampler.draw(4, rng))
-        assert est.fallback
+    def test_statevector_falls_back_above_qubit_limit(self, rng):
+        # forced or by a threshold above the limit, a 23-qubit step samples binomially
+        n = STATEVECTOR_MAX_QUBITS + 1
+        g = WeightedGraph(range(n), {(q, q + 1): 0.5 for q in range(n - 1)})
+        a = Angles(0.5, 0.5)
+        for sampler in (CorrelationSampler(g, a, mode=MODE_STATEVECTOR),
+                        CorrelationSampler(g, a, sv_threshold=n + 1)):
+            assert sampler.mode == MODE_BINOMIAL
+            assert sampler.estimate(sampler.draw(4, rng)).shape == (n - 1,)
 
     def test_pooling_merges_shot_counts(self, rng):
         g = generate_regular_gaussian(6, 3, seed=2)
@@ -488,7 +541,7 @@ class TestEstimateCorrelations:
             merged = CorrelationSampler.merge(first, second)
             assert merged.shots == 64
             assert np.array_equal(merged.disagree, first.disagree + second.disagree)
-            assert sampler.estimate(merged).shots_used == 64
+            assert np.array_equal(sampler.estimate(merged), (64 - 2 * merged.disagree) / 64)
 
 
 def bit_matrix_estimate(sampler, ks, rng):
@@ -506,9 +559,7 @@ def bit_matrix_estimate(sampler, ks, rng):
         chunks.append(((idx[:, None] >> np.arange(n)) & 1).astype(np.uint8))
     z = 1.0 - 2.0 * np.vstack(chunks).astype(float)
     pos = {u: q for q, u in enumerate(sampler.graph.nodes)}
-    return {
-        (u, v): float(np.mean(z[:, pos[u]] * z[:, pos[v]])) for u, v in sampler.graph.edge_list()
-    }
+    return np.array([np.mean(z[:, pos[u]] * z[:, pos[v]]) for u, v in sampler.graph.edge_list()])
 
 
 class TestShotPool:
@@ -526,10 +577,9 @@ class TestShotPool:
             pool = sampler.draw(ks[0], draw_rng)
             for k in ks[1:]:
                 pool = CorrelationSampler.merge(pool, sampler.draw(k, draw_rng))
-            got = sampler.estimate(pool).values
+            got = sampler.estimate(pool)
             want = bit_matrix_estimate(sampler, ks, np.random.default_rng(seed))
-            assert list(got) == list(want)
-            assert got == want
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("k, x", [(3, 1), (300, 90)])
     def test_binomial_estimate_sign_symmetric(self, k, x):
@@ -539,12 +589,13 @@ class TestShotPool:
         sampler = CorrelationSampler(g, Angles(0.3, 0.2), mode=MODE_BINOMIAL)
         for agree in range(k + 1):
             pool = ShotPool(shots=k, disagree=np.array([k - agree, agree]))
-            values = sampler.estimate(pool).values
-            assert values[(0, 1)] == -values[(1, 2)]
+            values = sampler.estimate(pool)
+            assert values[0] == -values[1]
         # rounded as 2*agree/k - 1, x agreements read as the larger magnitude
         assert abs(2.0 * x / k - 1.0) > abs(2.0 * (k - x) / k - 1.0)
         pool = ShotPool(shots=k, disagree=np.array([x, k - x]))  # x agreements on (1, 2)
-        assert select_edge(sampler.estimate(pool)) == (1, 0, 1)
+        est = sampler.estimate(pool)
+        assert select_edge(g, est, edge_order(est)) == (1, 0, 1)
 
 
 class TestEstimatorStatistics:
@@ -555,11 +606,11 @@ class TestEstimatorStatistics:
         a = optimize_angles(g)
         sampler = CorrelationSampler(g, a, mode=mode)
         exact = sampler.exact_values()
-        edge = sorted(exact, key=lambda e: abs(abs(exact[e]) - 0.5))[0]
+        edge = int(np.argmin(np.abs(np.abs(exact) - 0.5)))
         m = exact[edge]
         k, reps = 64, 4000
         rng = np.random.default_rng(17)
-        draws = np.array([sampler.estimate(sampler.draw(k, rng)).values[edge] for _ in range(reps)])
+        draws = np.array([sampler.estimate(sampler.draw(k, rng))[edge] for _ in range(reps)])
         var_theory = (1 - m * m) / k
         assert abs(draws.mean() - m) < 4 * np.sqrt(var_theory / reps)
         assert abs(draws.var() - var_theory) < 0.2 * var_theory
