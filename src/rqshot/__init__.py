@@ -32,7 +32,7 @@ from .instance import (
     cut_value,
     generate_instance,
     generate_regular_gaussian,
-    graph_distance,
+    hop_distance,
     reconstruct_assignment,
 )
 from .learner import (

@@ -186,11 +186,12 @@ def hard_screen(
     cap: int = SCREEN_CAP,
     master_seed: int = 0,
     threshold: float = HARD_RATIO_THRESHOLD,
+    jobs: int = 1,
 ) -> tuple[str, float]:
     """Classify an instance by its mean uniform approximation ratio."""
     results = run_trials(
         inst, UniformPolicy(), cap, n_trials, cfg,
-        (master_seed, "screen", inst.instance_id, cap),
+        (master_seed, "screen", inst.instance_id, cap), jobs=jobs,
     )
     mean_ratio = statistics.fmean(r.approx_ratio for r in results)
     return ("hard" if is_hard(mean_ratio, threshold) else "easy"), mean_ratio
@@ -221,6 +222,7 @@ def calibrate_cap(
     resolution: int = 16,
     master_seed: int = 0,
     cal_tag: str | int = "calibrate",
+    jobs: int = 1,
 ) -> CalibrationResult:
     """Two-stage search for the smallest cap where uniform meets the target.
 
@@ -236,7 +238,7 @@ def calibrate_cap(
     def sr_at(cap: int) -> float:
         results = run_trials(
             inst, UniformPolicy(), cap, n_cal, cfg,
-            (master_seed, cal_tag, inst.instance_id, cap), cache=cache,
+            (master_seed, cal_tag, inst.instance_id, cap), cache=cache, jobs=jobs,
         )
         sr = sum(r.sigma for r in results) / n_cal
         probes.append({"cap": cap, "sr": sr})

@@ -70,7 +70,7 @@ def cmd_screen(args, cfg: RunConfig) -> int:
         inst = Instance.load(path)
         label, mean_ratio = bm.hard_screen(
             inst, dcfg, n_trials=cfg.screen_trials, cap=cfg.screen_cap,
-            master_seed=cfg.master_seed, threshold=cfg.hard_threshold,
+            master_seed=cfg.master_seed, threshold=cfg.hard_threshold, jobs=cfg.jobs,
         )
         inst.category = label
         inst.save(path)
@@ -83,6 +83,7 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
     result = bm.calibrate_cap(
         inst, cfg.driver_config(), n_cal=cfg.cal_trials, target=cfg.cal_target,
         grid=cfg.cap_grid, resolution=cfg.cal_resolution, master_seed=cfg.master_seed,
+        jobs=cfg.jobs,
     )
     out = Path(args.out) if args.out else Path(args.instance).with_suffix(".cap.json")
     _write_json(out, {"instance_id": inst.instance_id, **result.to_dict()})
@@ -106,6 +107,8 @@ def _resolve_cap(arg: str, inst: Instance, caps_dir: str | None) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
+    if cfg.jobs > 1:
+        raise ValueError("train runs serially (one random stream, one Q table); set jobs to 1")
     inst = Instance.load(args.instance)
     tcfg = cfg.train if args.preset is None else TrainConfig.preset(args.preset)
     if args.episodes is not None:
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, help="override the master seed of screen, calibrate, train and eval"
     )
-    parser.add_argument("--jobs", type=int, help="trial-level parallelism (default serial)")
+    parser.add_argument("--jobs", type=int, help="trial parallelism of screen, calibrate and eval")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate regular Gaussian instances with exact optima")

@@ -175,7 +175,8 @@ def select_edge(g: WeightedGraph, est: np.ndarray, order: np.ndarray) -> tuple[i
     if not len(order):
         raise ValueError("cannot select an edge from an empty estimate")
     i = int(order[0])
-    kept, eliminated = g.edge_list()[i]
+    a, b = g.edge_index()[0][i].tolist()
+    kept, eliminated = g.nodes[a], g.nodes[b]
     return eliminated, kept, -1 if est[i] < 0 else 1
 
 

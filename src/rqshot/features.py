@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import UNREACHABLE, WeightedGraph, graph_distance
+from .instance import UNREACHABLE, WeightedGraph, hop_distance
 
 ZGAP_EPS = 1e-12
 ZGAP_SENTINEL = 1e18
@@ -143,9 +143,8 @@ def edge_distance(g: WeightedGraph, order: np.ndarray) -> int:
     """Minimum hop distance between endpoints of the two leading edges."""
     if len(order) < 2:
         return DIST_SENTINEL
-    edges = g.edge_list()
-    e1, e2 = edges[order[0]], edges[order[1]]
-    return min(graph_distance(g, u, v) for u in e1 for v in e2)
+    ends = g.edge_index()[0]
+    return hop_distance(g, ends[order[0]].tolist(), ends[order[1]].tolist())
 
 
 def extract_state(

@@ -1,6 +1,7 @@
 """Weighted Max-Cut / Ising instances and the variable-elimination calculus.
 
-An instance is an undirected coupling graph J_uv over integer node ids.
+An instance is an undirected coupling graph J_uv over integer node ids,
+held as edge-ordered arrays over qubits (the q-th sorted node is qubit q).
 The cut value of a spin assignment z in {-1,+1}^n is
 
     cut(z) = sum_{(u,v)} J_uv * (1 - z_u * z_v) / 2
@@ -8,15 +9,15 @@ The cut value of a spin assignment z in {-1,+1}^n is
 and the Ising energy is sum J_uv z_u z_v, so maximizing the cut is the same
 as minimizing the energy.  Variable elimination substitutes
 z_u = sign * z_v for one edge (u, v), merging u's couplings into v and
-accumulating a constant energy offset; `contract` performs one such step and
-`reconstruct_assignment` undoes a whole stack of them.
+accumulating a constant energy offset; `contract` performs one such step on
+the coupling matrix and `reconstruct_assignment` undoes a whole stack of
+them.  `hop_distance` is the breadth-first hop count between qubit sets.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -40,24 +41,20 @@ def _ordered(u: int, v: int) -> tuple[int, int]:
 
 
 class WeightedGraph:
-    """Immutable undirected graph with real couplings, one entry per pair.
+    """Immutable undirected graph with real couplings, stored once as edge-ordered arrays.
 
-    Couplings with magnitude below ``eps`` are dropped at construction so
-    that degree-based features see true structure.  All iteration orders
-    (nodes, edges, neighbors) are sorted and therefore deterministic.
+    Qubit q is the q-th node in sorted order.  The edges are two read-only
+    arrays: endpoint qubits (E x 2, each row increasing, rows in
+    lexicographic order) and couplings (E,).  Couplings with magnitude below
+    COUPLING_EPS are dropped at construction so that structural features see
+    true structure.
     """
 
-    __slots__ = ("_nodes", "_edges", "_adj", "_signature", "_index")
+    __slots__ = ("_nodes", "_index")
 
-    def __init__(
-        self,
-        nodes: Iterable[int],
-        edges: Mapping[tuple[int, int], float],
-        eps: float = COUPLING_EPS,
-    ):
+    def __init__(self, nodes: Iterable[int], edges: Mapping[tuple[int, int], float]):
         node_set = set(int(u) for u in nodes)
         clean: dict[tuple[int, int], float] = {}
-        adj: dict[int, dict[int, float]] = {u: {} for u in node_set}
         for (u, v), j in edges.items():
             u, v = int(u), int(v)
             if u == v:
@@ -70,16 +67,23 @@ class WeightedGraph:
             j = float(j)
             if not math.isfinite(j):
                 raise ValueError(f"non-finite coupling on edge {key}")
-            if abs(j) < eps:
-                continue
-            clean[key] = j
-            adj[u][v] = j
-            adj[v][u] = j
+            if abs(j) >= COUPLING_EPS:
+                clean[key] = j
         self._nodes: tuple[int, ...] = tuple(sorted(node_set))
-        self._edges: dict[tuple[int, int], float] = dict(sorted(clean.items()))
-        self._adj = adj
-        self._signature: tuple | None = None
-        self._index: tuple[np.ndarray, np.ndarray] | None = None
+        pos = {u: q for q, u in enumerate(self._nodes)}
+        items = sorted(clean.items())
+        ends = np.array([(pos[u], pos[v]) for (u, v), _ in items], dtype=np.intp).reshape(-1, 2)
+        j = np.array([j for _, j in items], dtype=float)
+        ends.flags.writeable = j.flags.writeable = False
+        self._index = (ends, j)
+
+    @classmethod
+    def _trusted(cls, nodes: tuple[int, ...], ends: np.ndarray, j: np.ndarray) -> "WeightedGraph":
+        """A graph from arrays already in stored form, without re-validating them."""
+        g = cls.__new__(cls)
+        ends.flags.writeable = j.flags.writeable = False
+        g._nodes, g._index = nodes, (ends, j)
+        return g
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -91,58 +95,34 @@ class WeightedGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._index[1])
 
     def edges(self) -> dict[tuple[int, int], float]:
         """Couplings keyed by (u, v) with u < v, in sorted order."""
-        return dict(self._edges)
+        return dict(zip(self.edge_list(), self._index[1].tolist()))
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return list(self._edges)
-
-    def has_node(self, u: int) -> bool:
-        return u in self._adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _ordered(u, v) in self._edges
-
-    def coupling(self, u: int, v: int) -> float:
-        key = _ordered(u, v)
-        if key not in self._edges:
-            raise ValueError(f"no edge {key} in graph")
-        return self._edges[key]
-
-    def neighbors(self, u: int) -> dict[int, float]:
-        return self._adj[u]
-
-    def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        nodes = self._nodes
+        return [(nodes[a], nodes[b]) for a, b in self._index[0].tolist()]
 
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint qubits (E x 2) and couplings (E,) of the edges, in edge_list() order.
 
-        Qubit q is the q-th node in sorted order, so each row is increasing.
-        Computed once per graph; both arrays are read-only.
+        Both arrays are the graph's own storage and are read-only.
         """
-        if self._index is None:
-            pos = {u: q for q, u in enumerate(self._nodes)}
-            ends = np.array([(pos[u], pos[v]) for u, v in self._edges], dtype=np.intp).reshape(-1, 2)
-            j = np.fromiter(self._edges.values(), dtype=float, count=len(self._edges))
-            ends.flags.writeable = j.flags.writeable = False
-            self._index = (ends, j)
         return self._index
+
+    def coupling_matrix(self) -> np.ndarray:
+        """A fresh symmetric n x n matrix of the couplings over qubits, zero where no edge."""
+        ends, j = self._index
+        w = np.zeros((len(self._nodes), len(self._nodes)))
+        w[ends[:, 0], ends[:, 1]] = w[ends[:, 1], ends[:, 0]] = j
+        return w
 
     def signature(self) -> tuple:
         """Hashable identity used as a cache key for per-graph computations."""
-        if self._signature is None:
-            self._signature = (
-                self._nodes,
-                tuple((u, v, j) for (u, v), j in self._edges.items()),
-            )
-        return self._signature
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"WeightedGraph(n={self.node_count}, m={self.edge_count})"
+        ends, j = self._index
+        return (self._nodes, ends.tobytes(), j.tobytes())
 
 
 @dataclass(frozen=True)
@@ -179,31 +159,31 @@ def contract(inst: ReducedInstance, rec: ContractionRecord) -> ReducedInstance:
     Couplings of the eliminated node merge into the kept node; merged values
     with magnitude below COUPLING_EPS delete the edge.  The (eliminated,
     kept) coupling itself becomes a constant contribution sign * J added to
-    the offset.
+    the offset.  The merge runs on the coupling matrix, one addition per
+    merged pair, and the surviving upper-triangle entries come out in
+    lexicographic order, so the result needs no re-validation or sorting.
     """
     g = inst.graph
     u_star, v_star, sign = rec.eliminated, rec.kept, rec.sign
-    if not (g.has_node(u_star) and g.has_node(v_star)):
+    nodes = g.nodes
+    if u_star not in nodes or v_star not in nodes:
         raise ContractionError(f"inactive endpoint in contraction {u_star}->{v_star}")
-    if not g.has_edge(u_star, v_star):
+    qu, qv = nodes.index(u_star), nodes.index(v_star)
+    w = g.coupling_matrix()
+    j_uv = float(w[qu, qv])
+    if j_uv == 0.0:
         raise ContractionError(f"no edge ({u_star}, {v_star}) to contract")
 
-    edges = g.edges()
-    j_uv = edges.pop(_ordered(u_star, v_star))
-    for w, j_uw in g.neighbors(u_star).items():
-        if w == v_star:
-            continue
-        del edges[_ordered(u_star, w)]
-        key = _ordered(v_star, w)
-        merged = edges.get(key, 0.0) + sign * j_uw
-        if abs(merged) < COUPLING_EPS:
-            edges.pop(key, None)
-        else:
-            edges[key] = merged
-
-    nodes = [x for x in g.nodes if x != u_star]
+    w[qv] += sign * w[qu]
+    w[qv, qv] = 0.0
+    w[:, qv] = w[qv]
+    keep = np.arange(len(nodes)) != qu
+    w = w[keep][:, keep]
+    a, b = np.nonzero(np.abs(w) >= COUPLING_EPS)
+    upper = a < b  # nonzero is row-major, so these rows stay in lexicographic order
+    a, b = a[upper], b[upper]
     return ReducedInstance(
-        graph=WeightedGraph(nodes, edges),
+        graph=WeightedGraph._trusted(nodes[:qu] + nodes[qu + 1:], np.stack((a, b), axis=1), w[a, b]),
         offset=inst.offset + sign * j_uv,
         stack=inst.stack + (rec,),
     )
@@ -278,22 +258,31 @@ def brute_force_optimum(g: WeightedGraph) -> tuple[float, dict[int, int]]:
     return best_cut, assignment
 
 
-def graph_distance(g: WeightedGraph, u: int, v: int) -> int:
-    """BFS hop count between u and v; UNREACHABLE if no path exists."""
-    if not (g.has_node(u) and g.has_node(v)):
-        raise ValueError(f"node {u} or {v} not in graph")
-    if u == v:
-        return 0
-    seen = {u}
-    frontier = deque([(u, 0)])
+def hop_distance(g: WeightedGraph, sources: Iterable[int], targets: Iterable[int]) -> int:
+    """Fewest hops from any source qubit to any target qubit; UNREACHABLE if no path.
+
+    One breadth-first search from all sources at once, so the result is the
+    minimum of the pairwise distances.  Neighbour and frontier sets are
+    Python int bitmasks over qubits.
+    """
+    nbr = [0] * g.node_count
+    for a, b in g.edge_index()[0].tolist():
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    goal = sum(1 << q for q in set(targets))
+    frontier = seen = sum(1 << q for q in set(sources))
+    hops = 0
     while frontier:
-        x, d = frontier.popleft()
-        for w in g.neighbors(x):
-            if w == v:
-                return d + 1
-            if w not in seen:
-                seen.add(w)
-                frontier.append((w, d + 1))
+        if frontier & goal:
+            return hops
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+        hops += 1
     return UNREACHABLE
 
 

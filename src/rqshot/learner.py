@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .features import BinBoundaries, DiscreteState, probe_shot_count
 from .instance import Instance
 from .seeding import make_rng
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -130,7 +130,6 @@ class TrainConfig:
     warmup: int = 100
     p_star: float = 0.95
     eta: float = 1.0
-    rho_star: float = 0.99
     extra_fail_penalty: float = 0.0
     validation_every: int = 50
     validation_trials: int = 20
@@ -227,27 +226,31 @@ class PolicyCheckpoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolicyCheckpoint":
+        """Rebuild a checkpoint; a wrong version or a malformed field raises CheckpointError."""
         if data.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint format: {data.get('format_version')}")
 
         def table_load(t: dict) -> dict:
             return {tuple(int(x) for x in k.split(":")): list(map(float, v)) for k, v in t.items()}
 
-        return cls(
-            qtables=QTables(
-                q1=table_load(data["qtables"]["q1"]), q2=table_load(data["qtables"]["q2"])
-            ),
-            config=TrainConfig.from_dict(data["config"]),
-            bins=BinBoundaries.from_dict(data["bin_boundaries"]),
-            n=int(data["n"]),
-            n_c=int(data["n_c"]),
-            instance_id=data["instance_id"],
-            validation_sr=data.get("validation_sr"),
-            validation_median_shots=data.get("validation_median_shots"),
-            validation_mean_shots=data.get("validation_mean_shots"),
-            lambda_trace=list(data.get("lambda_trace", [])),
-            validation_history=list(data.get("validation_history", [])),
-        )
+        try:
+            return cls(
+                qtables=QTables(
+                    q1=table_load(data["qtables"]["q1"]), q2=table_load(data["qtables"]["q2"])
+                ),
+                config=TrainConfig.from_dict(data["config"]),
+                bins=BinBoundaries.from_dict(data["bin_boundaries"]),
+                n=int(data["n"]),
+                n_c=int(data["n_c"]),
+                instance_id=data["instance_id"],
+                validation_sr=data.get("validation_sr"),
+                validation_median_shots=data.get("validation_median_shots"),
+                validation_mean_shots=data.get("validation_mean_shots"),
+                lambda_trace=list(data.get("lambda_trace", [])),
+                validation_history=list(data.get("validation_history", [])),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
 
     def save(self, path: Path | str) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -346,7 +349,6 @@ def train(
     if cap < probe_shot_count(inst.n):
         raise ValueError(f"cap {cap} below probe size for n={inst.n}")
 
-    driver_cfg = replace(driver_cfg, rho_star=config.rho_star)
     tables = QTables()
     controller = LagrangianController(config)
     trainer = _TrainingPolicy(tables, config, cap)

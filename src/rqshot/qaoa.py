@@ -79,8 +79,7 @@ class _EdgeTerms:
 
     def __init__(self, g: WeightedGraph):
         ends, self.j = g.edge_index()
-        rows = np.zeros((g.node_count, g.node_count))
-        rows[ends[:, 0], ends[:, 1]] = rows[ends[:, 1], ends[:, 0]] = self.j
+        rows = g.coupling_matrix()
         self.ru, self.rv = rows[ends[:, 0]], rows[ends[:, 1]]
         edge = np.arange(len(ends))
         self.ru[edge, ends[:, 1]] = self.rv[edge, ends[:, 0]] = 0.0

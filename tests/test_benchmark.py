@@ -124,6 +124,18 @@ class TestCalibration:
         assert hi == 304
         assert hi % 16 == 0
 
+    def test_parallel_jobs_match_serial(self):
+        # screen label and ratio, every calibration probe and the cap; the
+        # bracket 16..64 makes calibration bisect
+        inst = generate_instance(10, 5, seed=2)
+        screens = [bm.hard_screen(inst, DriverConfig(), n_trials=8, cap=64, master_seed=4, jobs=jobs)
+                   for jobs in (1, 2)]
+        assert screens[1] == screens[0]
+        cals = [bm.calibrate_cap(inst, DriverConfig(), n_cal=8, grid=(16, 64), master_seed=4,
+                                 jobs=jobs).to_dict() for jobs in (1, 2)]
+        assert cals[1] == cals[0]
+        assert len(cals[0]["probes"]) > 2
+
     def test_probes_recorded(self):
         inst = generate_instance(10, 4, seed=3)
         cal = bm.calibrate_cap(inst, DriverConfig(), n_cal=10, master_seed=2)

@@ -4,12 +4,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rqshot.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, build_parser, main
+from rqshot import benchmark as bm
+from rqshot.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 from rqshot.config import load_config
 from rqshot.driver import DriverConfig
 from rqshot.features import BinBoundaries
 from rqshot.instance import Instance
-from rqshot.learner import PolicyCheckpoint, TrainConfig
+from rqshot.learner import PolicyCheckpoint, QTables, TrainConfig
 from rqshot.qaoa import Angles
 
 
@@ -205,6 +206,55 @@ class TestKnobsTakeEffect:
             episodes[flags] = ckpt.config.episodes
         assert episodes == {(): 3, ("--episodes", "2"): 2}
 
+    def test_run_rho_star_scores_training(self, tmp_path):
+        # on n10d05s2 at cap 16 some episodes fall between the two thresholds
+        inst_dir = tmp_path / "inst"
+        assert run("gen", "-n", "10", "-d", "5", "--seed", "2", "--out", str(inst_dir)) == EXIT_OK
+        inst_path = next(inst_dir.glob("*.json"))
+        checkpoints = []
+        for rho in ("0.99", "0.5"):
+            ini = tmp_path / f"rho{rho}.ini"
+            ini.write_text(f"[run]\nrho_star = {rho}\n")
+            out = tmp_path / f"policy{rho}.json"
+            assert run("--config", str(ini), "train", "--instance", str(inst_path), "--cap", "16",
+                       "--episodes", "20", "--out", str(out)) == EXIT_OK
+            checkpoints.append(out.read_bytes())
+        assert checkpoints[0] != checkpoints[1]
+
+    def test_jobs_reach_screen_and_calibrate(self, pipeline, tmp_path, monkeypatch):
+        _, inst_path, _ = pipeline
+        seen_jobs = []
+        serial_run_trials = bm.run_trials
+
+        def recording_run_trials(*args, jobs=1, **kwargs):
+            seen_jobs.append(jobs)
+            return serial_run_trials(*args, jobs=jobs, **kwargs)
+
+        monkeypatch.setattr(bm, "run_trials", recording_run_trials)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[benchmark]\nscreen_trials = 6\ncal_trials = 6\ncap_grid = 16 64\n")
+        outputs = []
+        for jobs in ("1", "2"):
+            inst_dir = tmp_path / f"jobs{jobs}"
+            inst_dir.mkdir()
+            inst_copy = inst_dir / inst_path.name
+            inst_copy.write_bytes(inst_path.read_bytes())
+            assert run("--config", str(ini), "--jobs", jobs, "screen",
+                       "--instances", str(inst_dir)) == EXIT_OK
+            cap = inst_dir / "cap.json"
+            assert run("--config", str(ini), "--jobs", jobs, "calibrate", "--instance", str(inst_copy),
+                       "--out", str(cap)) == EXIT_OK
+            outputs.append((inst_copy.read_bytes(), cap.read_bytes()))
+        assert outputs[1] == outputs[0]
+        assert set(seen_jobs) == {1, 2} and seen_jobs.count(2) == seen_jobs.count(1)
+
+    def test_train_rejects_parallel_jobs(self, pipeline, tmp_path):
+        _, inst_path, cap_path = pipeline
+        out = tmp_path / "policy.json"
+        assert run("--jobs", "2", "train", "--instance", str(inst_path), "--cap", str(cap_path),
+                   "--episodes", "2", "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
     def test_parallel_eval_logs_match_serial(self, pipeline, tmp_path):
         _, inst_path, cap_path = pipeline
         ini = tmp_path / "run.ini"
@@ -218,6 +268,27 @@ class TestKnobsTakeEffect:
             outs.append(out)
         for name in ("trials.jsonl", "steps.jsonl", "records.csv"):
             assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
+class TestCheckpointFile:
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["config"].update(bogus=1),
+        lambda d: d.pop("qtables"),
+        lambda d: d["qtables"]["q1"].update({"1:x:3:4": [0.0] * 6}),
+        lambda d: d.update(format_version=1),
+    ], ids=["unknown-config-key", "missing-qtables", "bad-state-key", "old-format"])
+    def test_malformed_checkpoint_is_validation_error(self, pipeline, tmp_path, capsys, corrupt):
+        _, inst_path, _ = pipeline
+        data = PolicyCheckpoint(qtables=QTables(), config=TrainConfig(), bins=BinBoundaries(),
+                                n=10, n_c=8, instance_id="n10d04s3").to_dict()
+        corrupt(data)
+        ckpt = tmp_path / "policy.json"
+        ckpt.write_text(json.dumps(data))
+        out = tmp_path / "e"
+        assert run("eval", "--instances", str(inst_path), "--policies", "rl", "--checkpoint",
+                   str(ckpt), "--cap", "64", "--out", str(out)) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestOracleCheckCommand:
@@ -294,7 +365,8 @@ class TestConfigFile:
         "[smapling]\nmode = exact\n",
         "[DEFAULT]\nn_c = 6\n",
         "[sampling]\nsv_max_qubits = 21\n",
-    ], ids=["key", "section", "default-section", "removed-sv-max-qubits"])
+        "[train]\nrho_star = 0.5\n",
+    ], ids=["key", "section", "default-section", "removed-sv-max-qubits", "removed-train-rho-star"])
     def test_unknown_key_or_section_is_usage_error(self, pipeline, tmp_path, text):
         _, inst_path, cap_path = pipeline
         ini = tmp_path / "typo.ini"

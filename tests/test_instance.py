@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqshot.instance import (
+    COUPLING_EPS,
     UNREACHABLE,
     ContractionError,
     ContractionRecord,
@@ -19,12 +21,16 @@ from rqshot.instance import (
     cut_value,
     generate_instance,
     generate_regular_gaussian,
-    graph_distance,
+    hop_distance,
     reconstruct_assignment,
     reweighted_instance,
 )
 
 from .conftest import brute_force_reference, ising_energy, make_graph, random_weighted_graph
+
+
+def degrees(g):
+    return Counter(u for e in g.edges() for u in e)
 
 
 class TestWeightedGraph:
@@ -36,14 +42,36 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="non-finite"):
             WeightedGraph([0, 1], {(0, 1): float("nan")})
 
+    def test_rejects_unknown_node_and_duplicate_edge(self):
+        with pytest.raises(ValueError, match="unknown node"):
+            WeightedGraph([0, 1], {(0, 2): 1.0})
+        with pytest.raises(ValueError, match="duplicate"):
+            WeightedGraph([0, 1], {(0, 1): 1.0, (1, 0): 2.0})
+
     def test_drops_tiny_couplings(self):
         g = WeightedGraph([0, 1, 2], {(0, 1): 1.0, (1, 2): 1e-13})
         assert g.edge_count == 1
-        assert not g.has_edge(1, 2)
+        assert (1, 2) not in g.edges()
 
     def test_symmetric_storage(self):
         g = WeightedGraph([0, 1], {(1, 0): 0.5})
-        assert g.coupling(0, 1) == g.coupling(1, 0) == 0.5
+        assert g.edges() == {(0, 1): 0.5}
+
+    def test_coupling_matrix(self):
+        g = WeightedGraph([12, 3, 9, 7], {(9, 3): -0.4, (12, 7): 1.5, (3, 7): 0.25})
+        w = g.coupling_matrix()
+        assert w.tolist() == [
+            [0.0, 0.25, -0.4, 0.0], [0.25, 0.0, 0.0, 1.5], [-0.4, 0.0, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0]
+        ]
+        w[0, 1] = 9.0  # a fresh copy each call
+        assert g.coupling_matrix()[0, 1] == 0.25
+
+    def test_signature_is_the_stored_graph(self):
+        g = WeightedGraph([3, 7, 9], {(3, 7): 0.25, (7, 9): -1.0})
+        assert g.signature() == WeightedGraph([9, 7, 3], {(9, 7): -1.0, (7, 3): 0.25}).signature()
+        assert g.signature() != WeightedGraph([3, 7, 9], {(3, 7): 0.25, (7, 9): 1.0}).signature()
+        assert g.signature() != WeightedGraph([3, 7, 9], {(3, 9): 0.25, (7, 9): -1.0}).signature()
+        assert g.signature() != WeightedGraph([3, 7, 8], {(3, 7): 0.25, (7, 8): -1.0}).signature()
 
     def test_edge_index_positions_and_couplings(self):
         # node ids 3, 7, 9, 12 are qubits 0..3; rows follow edge_list()
@@ -88,7 +116,7 @@ class TestGenerate:
     @pytest.mark.parametrize("n,d,seed", [(10, 3, 0), (14, 8, 3), (20, 17, 9), (9, 4, 5)])
     def test_every_node_has_degree_d(self, n, d, seed):
         g = generate_regular_gaussian(n, d, seed)
-        assert all(g.degree(u) == d for u in g.nodes)
+        assert all(degrees(g)[u] == d for u in g.nodes)
 
     def test_deterministic_for_seed(self):
         a = generate_regular_gaussian(12, 5, seed=7)
@@ -106,12 +134,62 @@ class TestGenerate:
         assert abs(w.var() - 1.0) < 3 * np.sqrt(2 / m)
 
 
+def relabelled(g, rng):
+    """The same graph on random, non-contiguous node ids (sorted order shuffled too)."""
+    new_id = dict(zip(g.nodes, rng.choice(1000, g.node_count, replace=False).tolist()))
+    return WeightedGraph(new_id.values(), {(new_id[u], new_id[v]): j for (u, v), j in g.edges().items()})
+
+
+def dict_contract(nodes, edges, offset, rec):
+    """Reference: the dict-based contraction that the coupling-matrix form replaced."""
+    u_star, v_star, sign = rec.eliminated, rec.kept, rec.sign
+    edges = dict(edges)
+    j_uv = edges.pop(tuple(sorted((u_star, v_star))))
+    for (a, b), j in list(edges.items()):
+        if u_star not in (a, b):
+            continue
+        del edges[(a, b)]
+        key = tuple(sorted((v_star, b if a == u_star else a)))
+        merged = edges.get(key, 0.0) + sign * j
+        if abs(merged) < COUPLING_EPS:
+            edges.pop(key, None)
+        else:
+            edges[key] = merged
+    return tuple(x for x in nodes if x != u_star), dict(sorted(edges.items())), offset + sign * j_uv
+
+
 class TestContract:
+    def test_matches_dict_reference_bit_for_bit(self, rng):
+        # random contraction sequences on relabelled graphs; integer weights cancel exactly
+        steps = cancelled = 0
+        for t in range(60):
+            n = int(rng.integers(3, 14))
+            p = float(rng.uniform(0.3, 0.9))
+            g = relabelled((integer_weighted_graph if t % 2 else random_weighted_graph)(n, p, rng), rng)
+            red = ReducedInstance.fresh(g)
+            nodes, edges, offset = g.nodes, g.edges(), 0.0
+            while red.graph.edge_count:
+                u, v = red.graph.edge_list()[int(rng.integers(red.graph.edge_count))]
+                if rng.random() < 0.5:
+                    u, v = v, u
+                rec = ContractionRecord(u, v, int(rng.choice([-1, 1])))
+                nbrs = {x: {a if b == x else b for a, b in edges if x in (a, b)} for x in (u, v)}
+                before = len(edges)
+                red = contract(red, rec)
+                nodes, edges, offset = dict_contract(nodes, edges, offset, rec)
+                assert red.graph.nodes == nodes
+                assert red.graph.edge_list() == list(edges)
+                assert red.graph.edges() == edges
+                assert red.offset == offset
+                steps += 1
+                cancelled += before - 1 - len(nbrs[u] & nbrs[v]) - len(edges)
+        assert steps > 300 and cancelled > 0
+
     def test_triangle_merge(self):
         g = make_graph({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
         red = contract(ReducedInstance.fresh(g), ContractionRecord(0, 1, +1))
         assert red.graph.nodes == (1, 2)
-        assert red.graph.coupling(1, 2) == pytest.approx(2.0)
+        assert red.graph.edges() == {(1, 2): pytest.approx(2.0)}
         assert red.offset == pytest.approx(1.0)
 
     def test_exact_cancellation_removes_edge(self):
@@ -123,7 +201,7 @@ class TestContract:
     def test_path_negative_sign(self):
         g = make_graph({(0, 1): 0.5, (1, 2): 0.3})
         red = contract(ReducedInstance.fresh(g), ContractionRecord(0, 1, -1))
-        assert red.graph.coupling(1, 2) == pytest.approx(0.3)
+        assert red.graph.edges() == {(1, 2): pytest.approx(0.3)}
         assert red.offset == pytest.approx(-0.5)
 
     def test_missing_edge_rejected(self):
@@ -276,18 +354,53 @@ class TestReconstruct:
             reconstruct_assignment([ContractionRecord(0, 1, +1)], {2: 1})
 
 
+def pair_bfs(g, u, v):
+    """Reference: BFS hop count between two nodes, the per-pair search hop_distance replaced."""
+    adj = {x: set() for x in g.nodes}
+    for a, b in g.edges():
+        adj[a].add(b)
+        adj[b].add(a)
+    if u == v:
+        return 0
+    seen = {u}
+    frontier = deque([(u, 0)])
+    while frontier:
+        x, d = frontier.popleft()
+        for w in adj[x]:
+            if w == v:
+                return d + 1
+            if w not in seen:
+                seen.add(w)
+                frontier.append((w, d + 1))
+    return UNREACHABLE
+
+
 class TestGraphDistance:
     def test_self_distance_zero(self):
         g = make_graph({(0, 1): 1.0})
-        assert graph_distance(g, 0, 0) == 0
+        assert hop_distance(g, [0], [0]) == 0
 
     def test_path_distance(self):
         g = make_graph({(0, 1): 1.0, (1, 2): 1.0})
-        assert graph_distance(g, 0, 2) == 2
+        assert hop_distance(g, [0], [2]) == 2
 
     def test_disconnected_marker(self):
         g = make_graph({(0, 1): 1.0, (2, 3): 1.0})
-        assert graph_distance(g, 0, 3) == UNREACHABLE
+        assert hop_distance(g, [0], [3]) == UNREACHABLE
+
+    def test_matches_minimum_of_pairwise_bfs(self, rng):
+        # every pair of edges, shared endpoints and disconnected edges included
+        seen = Counter()
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            g = relabelled(random_weighted_graph(n, float(rng.uniform(0.1, 0.5)), rng), rng)
+            ends = g.edge_index()[0]
+            for i, k in itertools.product(range(g.edge_count), repeat=2):
+                e1, e2 = g.edge_list()[i], g.edge_list()[k]
+                want = min(pair_bfs(g, u, v) for u in e1 for v in e2)
+                assert hop_distance(g, ends[i].tolist(), ends[k].tolist()) == want
+                seen["unreachable" if want == UNREACHABLE else min(want, 3)] += 1
+        assert all(seen[d] for d in (0, 1, 2, 3, "unreachable"))
 
 
 class TestInstanceIO:
@@ -330,5 +443,5 @@ def test_generate_degree_property(n, d, seed):
             generate_regular_gaussian(n, d, seed)
     else:
         g = generate_regular_gaussian(n, d, seed)
-        assert all(g.degree(u) == d for u in g.nodes)
+        assert all(degrees(g)[u] == d for u in g.nodes)
         assert g.edge_count == n * d // 2

@@ -49,9 +49,12 @@ class PaddedEdgeTerms:
     def __init__(self, g):
         edges = list(g.edges().items())
         self.j = np.array([j for _, j in edges]) if edges else np.zeros(0)
+        nbr = {u: {} for u in g.nodes}
+        for (u, v), j in edges:
+            nbr[u][v] = nbr[v][u] = j
         rows = {name: [] for name in ("nu", "nv", "xu", "xv", "sp", "sm")}
         for (u, v), _ in edges:
-            nbr_u, nbr_v = g.neighbors(u), g.neighbors(v)
+            nbr_u, nbr_v = nbr[u], nbr[v]
             shared = sorted(set(nbr_u) & set(nbr_v) - {u, v})
             rows["nu"].append([j for w, j in sorted(nbr_u.items()) if w != v])
             rows["nv"].append([j for w, j in sorted(nbr_v.items()) if w != u])
