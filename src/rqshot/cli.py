@@ -263,12 +263,16 @@ def cmd_report(args, cfg: RunConfig) -> int:
 
 
 def _statevector_zz(g, a: Angles) -> np.ndarray:
-    """<Z_u Z_v> of every edge in edge_list() order, read off the simulated state."""
+    """<Z_u Z_v> of every edge in edge_list() order, read off the simulated state.
+
+    The flipped half of the state has the same products, so the half's sum
+    is doubled.
+    """
     probs = np.abs(statevector_depth1(g, a)) ** 2
     ends, _ = g.edge_index()
-    idx = np.arange(1 << g.node_count)
+    idx = np.arange(probs.size)
     z = 1 - 2 * ((idx[:, None] >> np.arange(g.node_count)) & 1)
-    return probs @ (z[:, ends[:, 0]] * z[:, ends[:, 1]])
+    return 2 * probs @ (z[:, ends[:, 0]] * z[:, ends[:, 1]])
 
 
 def _grid_minimum(g) -> float:

@@ -81,9 +81,11 @@ class StepCache:
 
     Keys are graph signatures; an episode's reduced graphs recur across
     trials of the same instance, so this removes nearly all redundant angle
-    searches and statevector builds.  Probability vectors are the big
-    entries and live in a bounded LRU; angles and exact correlation values
-    are tiny and kept unbounded.
+    searches and statevector builds.  Cumulative probability vectors are
+    the big entries, 2^(n-1) floats each (the half of the flip-symmetric
+    state, see qaoa.statevector_depth1), and live in an LRU bounded at
+    about 2^24 floats in all; angles and exact correlation values are tiny
+    and kept unbounded.
     """
 
     def __init__(self):

@@ -227,6 +227,8 @@ class PolicyCheckpoint:
     @classmethod
     def from_dict(cls, data: dict) -> "PolicyCheckpoint":
         """Rebuild a checkpoint; a wrong version or a malformed field raises CheckpointError."""
+        if not isinstance(data, dict):
+            raise CheckpointError(f"malformed checkpoint: not a JSON object but {type(data).__name__}")
         if data.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint format: {data.get('format_version')}")
 
@@ -257,7 +259,11 @@ class PolicyCheckpoint:
 
     @classmethod
     def load(cls, path: Path | str, expected_bins: BinBoundaries | None = None) -> "PolicyCheckpoint":
-        ckpt = cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            data = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not JSON, or not text
+            raise CheckpointError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
+        ckpt = cls.from_dict(data)
         if expected_bins is not None and ckpt.bins != expected_bins:
             raise CheckpointError(
                 "checkpoint was trained under different bin boundaries; "

@@ -21,12 +21,18 @@ whose minimum over beta is B/2 - sqrt(A^2 + B^2/4) in closed form (Wang,
 Hadfield, Jiang & Rieffel, arXiv:1706.02998), so the angle search is a
 one-dimensional search over gamma.  The expression is validated against the
 statevector simulator in the test suite; the simulator, not the formula, is
-the ground truth.  It builds the phased state
+the ground truth.  H has no fields, so the state is invariant under the
+global spin flip X^(x)n, the Z2 symmetry RQAOA is built on (Bravyi,
+Kliesch, Koenig & Tang, arXiv:1910.08980), and every ZZ product and every
+disagreement count is too.  The simulator therefore prepares only the
+2^(n-1) amplitudes with the top qubit at 0.  It builds the phased state
 2^(-n/2) exp(-i gamma C(z)) as complex amplitudes by doubling over qubits,
-about 2^(n+1) complex multiplies and no trigonometry over the 2^n entries,
-and applies the mixer to five qubits at a time: one matmul by
-the 32 x 32 factor exp(-i beta X)^(x)5 per block of qubits (fused gates, as
-in Haener & Steiger, arXiv:1704.01127).
+about 2^n complex multiplies and no trigonometry over the 2^(n-1) entries,
+applies the mixer of the lower qubits five at a time, one matmul by the
+32 x 32 factor exp(-i beta X)^(x)5 per block of qubits (fused gates, as in
+Haener & Steiger, arXiv:1704.01127), and the top qubit's mixer as a
+reversal of the half.  Shots are drawn from the half's cumulative
+distribution, each draw from the flipped half folded onto its mirror image.
 
 Qubits and edges are indexed as WeightedGraph.edge_index() gives them, and
 every per-edge vector here (exact values, shot counts, estimates) is a
@@ -73,16 +79,20 @@ class _EdgeTerms:
     """Per-edge coupling rows for vectorized evaluation of a_e and b_e.
 
     Row e of ``ru`` (``rv``) is the coupling row of edge e's endpoint u (v)
-    with columns u and v zeroed; an absent coupling contributes cos 0 = 1 to
-    every product.
+    with columns u and v zeroed, cut to the columns where either row is
+    nonzero, in order, and padded with zeros: an absent coupling contributes
+    cos 0 = 1 to every product.
     """
 
     def __init__(self, g: WeightedGraph):
         ends, self.j = g.edge_index()
         rows = g.coupling_matrix()
-        self.ru, self.rv = rows[ends[:, 0]], rows[ends[:, 1]]
+        ru, rv = rows[ends[:, 0]], rows[ends[:, 1]]
         edge = np.arange(len(ends))
-        self.ru[edge, ends[:, 1]] = self.rv[edge, ends[:, 0]] = 0.0
+        ru[edge, ends[:, 1]] = rv[edge, ends[:, 0]] = 0.0
+        live = (ru != 0.0) | (rv != 0.0)
+        cols = np.argsort(~live, axis=1, kind="stable")[:, : live.sum(axis=1).max(initial=0)]
+        self.ru, self.rv = ru[edge[:, None], cols], rv[edge[:, None], cols]
         self.rsum, self.rdiff = self.ru + self.rv, self.ru - self.rv
 
     def ab(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,46 +162,54 @@ def optimize_angles(g: WeightedGraph) -> Angles:
     return Angles(gamma=gamma, beta=float(beta[0]))
 
 
-def statevector_depth1(
-    g: WeightedGraph, a: Angles, max_qubits: int = STATEVECTOR_MAX_QUBITS
-) -> np.ndarray:
-    """Amplitudes of exp(-i beta H_M) exp(-i gamma H_C) |+>^n.
+def statevector_depth1(g: WeightedGraph, a: Angles) -> np.ndarray:
+    """The half of exp(-i beta H_M) exp(-i gamma H_C) |+>^n with the top qubit at 0.
 
     Qubit q is the q-th node in sorted order; bit q of a basis index is
-    (index >> q) & 1 and carries spin z = 1 - 2*bit.  The phased state
-    2^(-n/2) exp(-i gamma C(z)) is built as complex amplitudes by doubling
-    over qubits (_phase_state).  The mixer exp(-i beta X) on every qubit is
-    applied MIXER_BLOCK_QUBITS qubits at a time: the 2^b x 2^b factor
-    U^(x)b acts by one matmul on ``amps.reshape(-1, 2**b, 2**lo)``, the
-    axis of qubits lo..lo+b-1, writing into a second buffer of the same size
-    and swapping the two, so the state is swept once per block rather than
-    once per qubit.
+    (index >> q) & 1 and carries spin z = 1 - 2*bit.  H_C has no fields, so
+    the state is invariant under the global flip X^(x)n, psi(~x) = psi(x),
+    the Z2 symmetry RQAOA is built on (Bravyi, Kliesch, Koenig & Tang,
+    arXiv:1910.08980); the 2^(n-1) amplitudes returned, of the basis states
+    with qubit n-1 at 0, determine the rest: the full state is
+    ``concatenate([half, half[::-1]])``, and the half holds probability 1/2.
+    The phased state 2^(-n/2) exp(-i gamma C(z)) is built as complex
+    amplitudes by doubling over qubits (_phase_state).  The mixer
+    exp(-i beta X) on qubits 0..n-2 is applied MIXER_BLOCK_QUBITS qubits at
+    a time: the 2^b x 2^b factor U^(x)b acts by one matmul on
+    ``amps.reshape(-1, 2**b, 2**lo)``, the axis of qubits lo..lo+b-1,
+    writing into a second buffer of the same size and swapping the two.  On
+    a flip-symmetric state, flipping the top qubit complements the lower
+    ones, which reverses the half, so the top qubit's mixer is
+    cos(beta) psi - i sin(beta) psi[::-1].
     """
     n = g.node_count
-    if n > max_qubits:
-        raise ValueError(f"statevector limited to {max_qubits} qubits, got {n}")
-    amps = np.empty(1 << n, dtype=complex)
+    if not 0 < n <= STATEVECTOR_MAX_QUBITS:
+        raise ValueError(f"statevector needs 1 to {STATEVECTOR_MAX_QUBITS} qubits, got {n}")
+    amps = np.empty(1 << (n - 1), dtype=complex)
     spare = np.empty_like(amps)
     _phase_state(g, a.gamma, amps, spare)
-    factors = _mixer_factors(a.beta, min(n, MIXER_BLOCK_QUBITS))
-    for lo in range(0, n, MIXER_BLOCK_QUBITS):
-        b = min(MIXER_BLOCK_QUBITS, n - lo)
+    factors = _mixer_factors(a.beta, min(n - 1, MIXER_BLOCK_QUBITS))
+    for lo in range(0, n - 1, MIXER_BLOCK_QUBITS):
+        b = min(MIXER_BLOCK_QUBITS, n - 1 - lo)
         shape = (-1, 1 << b, 1 << lo)
         np.matmul(factors[b - 1], amps.reshape(shape), out=spare.reshape(shape))
         amps, spare = spare, amps
+    np.multiply(amps[::-1], -1j * np.sin(a.beta), out=spare)
+    amps *= np.cos(a.beta)
+    amps += spare
     return amps
 
 
 def _phase_state(g: WeightedGraph, gamma: float, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write 2^(-n/2) exp(-i gamma C(z)) into ``out``, indexed like statevector_depth1.
+    """Write 2^(-n/2) exp(-i gamma C(z)) into ``out``, the half statevector_depth1 returns.
 
     Built by doubling over qubits: once ``out[:2**q]`` holds the state of
     the first q qubits, qubit q's field h = sum_{p<q} J_pq z_p gives the
     factor f = exp(-i gamma h) on the half where its bit is 0 and conj(f)
-    where it is 1.  f depends only on the bits up to q's highest lower
-    neighbour p_max, so it is built by the same doubling, with the scalars
-    exp(-+i gamma J_pq), over 2**(p_max+1) entries of ``scratch`` and
-    broadcast across the rest.
+    where it is 1; the top qubit stays at 0, so it only multiplies by f.
+    f depends only on the bits up to q's highest lower neighbour p_max, so
+    it is built by the same doubling, with the scalars exp(-+i gamma J_pq),
+    over 2**(p_max+1) entries of ``scratch`` and broadcast across the rest.
     """
     n = g.node_count
     ends, couplings = g.edge_index()
@@ -202,16 +220,17 @@ def _phase_state(g: WeightedGraph, gamma: float, out: np.ndarray, scratch: np.nd
     for q in range(n):
         top = max(lower[q], default=-1) + 1
         width, size = 1 << top, 1 << q
-        f, fbar = scratch[:width], scratch[width : 2 * width]
+        f = scratch[:width]
         f[0] = 1.0
         for p in range(top):
             half = 1 << p
             turn = cmath.exp(-1j * gamma * lower[q].get(p, 0.0))
             np.multiply(f[:half], turn.conjugate(), out=f[half : 2 * half])
             f[:half] *= turn
-        np.conjugate(f, out=fbar)
         lo = out[:size].reshape(-1, width)
-        np.multiply(lo, fbar, out=out[size : 2 * size].reshape(-1, width))
+        if q < n - 1:
+            fbar = np.conjugate(f, out=scratch[width : 2 * width])
+            np.multiply(lo, fbar, out=out[size : 2 * size].reshape(-1, width))
         lo *= f
 
 
@@ -226,9 +245,22 @@ def _mixer_factors(beta: float, width: int) -> list[np.ndarray]:
 
 
 def _sample_indices(cum: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw k basis-state indices from a cumulative distribution."""
-    idx = np.searchsorted(cum, rng.random(k), side="right")
-    return np.minimum(idx, len(cum) - 1)
+    """Draw k basis-state indices of the half state, each flipped draw folded back.
+
+    ``cum`` is the cumulative distribution of the half state, with total
+    S = cum[-1] = 1/2.  By the flip symmetry the full distribution's upper
+    half is C[2^(n-1) + j] = 2S - cum[2^(n-1) - 2 - j], so a draw u >= S
+    lands on the complement of the first index m with cum[m] >= 2S - u.
+    One ``side="right"`` search of min(u, the float just below 2S - u)
+    finds m for such a draw and the usual index for a draw u < S.  So each
+    index returned is the full-space search's, complemented when its top
+    bit is set, which leaves every disagreement count as it was, and the
+    stream is consumed as one rng.random(k).  Every searched value is
+    below S, so every index is below len(cum).
+    """
+    u = rng.random(k)
+    w = np.nextafter(2 * cum[-1] - u, -np.inf)
+    return np.searchsorted(cum, np.minimum(u, w, out=w), side="right")
 
 
 @dataclass
@@ -292,7 +324,7 @@ class CorrelationSampler:
             probs = np.abs(state)
             del state  # freed before the sums, to lower the peak
             np.square(probs, out=probs)
-            probs /= probs.sum()
+            probs /= 2 * probs.sum()  # the half holds probability 1/2
             self._cum = np.cumsum(probs, out=probs)
         return self._cum
 

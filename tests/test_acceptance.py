@@ -40,6 +40,7 @@ from rqshot.qaoa import (
     MODE_STATEVECTOR,
     Angles,
     CorrelationSampler,
+    _sample_indices,
     optimize_angles,
     statevector_depth1,
     zz_all_edges,
@@ -112,9 +113,9 @@ def test_c01_oracle_equivalence(rng):
             continue
         cases += 1
         a = Angles(float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(0, np.pi)))
-        state = statevector_depth1(g, a)
-        probs = np.abs(state) ** 2
-        idx = np.arange(1 << g.node_count)
+        # the half with the top qubit at 0; its flip has the same ZZ products
+        probs = 2 * np.abs(statevector_depth1(g, a)) ** 2
+        idx = np.arange(probs.size)
         pos = {u: q for q, u in enumerate(g.nodes)}
         closed = zz_all_edges(g, a)
         for (u, v), cf in zip(g.edge_list(), closed):
@@ -137,9 +138,7 @@ def test_c02_estimator_statistics():
         for k in (16, 64, 256, 1024):
             rng = make_rng(2, "acceptance-estimator", mode, k)
             if mode == MODE_STATEVECTOR:
-                cum = sampler.cumulative_probs()
-                idx = np.searchsorted(cum, rng.random(reps * k), side="right")
-                idx = np.minimum(idx, len(cum) - 1)
+                idx = _sample_indices(sampler.cumulative_probs(), reps * k, rng)
                 zz = (1 - 2 * (((idx >> cu) ^ (idx >> cv)) & 1)).reshape(reps, k)
                 draws = zz.mean(axis=1)
             else:

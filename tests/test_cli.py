@@ -270,20 +270,30 @@ class TestKnobsTakeEffect:
             assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
+def edited(edit):
+    """A corruption that edits the checkpoint's dict and writes it as JSON."""
+    def corrupt(data):
+        edit(data)
+        return json.dumps(data)
+    return corrupt
+
+
 class TestCheckpointFile:
     @pytest.mark.parametrize("corrupt", [
-        lambda d: d["config"].update(bogus=1),
-        lambda d: d.pop("qtables"),
-        lambda d: d["qtables"]["q1"].update({"1:x:3:4": [0.0] * 6}),
-        lambda d: d.update(format_version=1),
-    ], ids=["unknown-config-key", "missing-qtables", "bad-state-key", "old-format"])
+        edited(lambda d: d["config"].update(bogus=1)),
+        edited(lambda d: d.pop("qtables")),
+        edited(lambda d: d["qtables"]["q1"].update({"1:x:3:4": [0.0] * 6})),
+        edited(lambda d: d.update(format_version=1)),
+        lambda d: "not json",
+        lambda d: "[1, 2]",
+    ], ids=["unknown-config-key", "missing-qtables", "bad-state-key", "old-format", "not-json",
+            "not-an-object"])
     def test_malformed_checkpoint_is_validation_error(self, pipeline, tmp_path, capsys, corrupt):
         _, inst_path, _ = pipeline
         data = PolicyCheckpoint(qtables=QTables(), config=TrainConfig(), bins=BinBoundaries(),
                                 n=10, n_c=8, instance_id="n10d04s3").to_dict()
-        corrupt(data)
         ckpt = tmp_path / "policy.json"
-        ckpt.write_text(json.dumps(data))
+        ckpt.write_text(corrupt(data))
         out = tmp_path / "e"
         assert run("eval", "--instances", str(inst_path), "--policies", "rl", "--checkpoint",
                    str(ckpt), "--cap", "64", "--out", str(out)) == EXIT_VALIDATION

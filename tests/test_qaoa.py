@@ -79,11 +79,15 @@ class PaddedEdgeTerms:
         return a, b
 
 
+def unfold(half):
+    """The full state from the half with the top qubit at 0: psi(~x) = psi(x)."""
+    return np.concatenate([half, half[::-1]])
+
+
 def statevector_zz(g, angles, edge):
     """Oracle: <Z_u Z_v> straight from the simulated state."""
-    state = statevector_depth1(g, angles)
-    n = g.node_count
-    idx = np.arange(1 << n)
+    state = unfold(statevector_depth1(g, angles))
+    idx = np.arange(state.size)
     pos = {u: q for q, u in enumerate(g.nodes)}
     z_u = 1 - 2 * ((idx >> pos[edge[0]]) & 1)
     z_v = 1 - 2 * ((idx >> pos[edge[1]]) & 1)
@@ -143,7 +147,7 @@ def butterfly_statevector(g, a):
 
 
 def phase_state(g, gamma):
-    out = np.empty(1 << g.node_count, dtype=complex)
+    out = np.empty(1 << (g.node_count - 1), dtype=complex)
     _phase_state(g, gamma, out, np.empty_like(out))
     return out
 
@@ -177,31 +181,54 @@ class TestStatevector:
             g = random_weighted_graph(n, rng.uniform(0.1, 0.9), rng)
             a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
             phased = 2.0 ** (-n / 2) * np.exp(-1j * a.gamma * edge_cost_diagonal(g))
-            assert np.max(np.abs(phase_state(g, a.gamma) - phased)) < 1e-12
-            assert np.max(np.abs(statevector_depth1(g, a) - gather_statevector(g, a))) < 1e-12
+            assert np.max(np.abs(phase_state(g, a.gamma) - phased[: phased.size // 2])) < 1e-12
+            assert np.max(np.abs(unfold(statevector_depth1(g, a)) - gather_statevector(g, a))) < 1e-12
 
     @pytest.mark.parametrize("n", range(15, 21))
     def test_matches_butterfly_reference(self, n):
-        # n = 15..20 gives the last block every width from 1 to 5, and each n
-        # runs outer axes from 2**(n-5) rows down to one
+        # n = 15..20 gives the last block of the n - 1 lower qubits every width
+        # from 1 to 5, and each n runs outer axes from 2**(n-6) rows down to one
         rng = np.random.default_rng(n)
         g = random_weighted_graph(n, 0.3, rng)
         a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
-        assert np.max(np.abs(statevector_depth1(g, a) - butterfly_statevector(g, a))) < 1e-12
+        assert np.max(np.abs(unfold(statevector_depth1(g, a)) - butterfly_statevector(g, a))) < 1e-12
+
+    def test_half_is_lower_half_and_reversed_upper_half(self, rng):
+        graphs = [random_weighted_graph(n, rng.uniform(0.1, 0.9), rng)
+                  for n in range(1, 13) for _ in range(3)]
+        graphs += [g for g in reduced_graphs(40, np.random.default_rng(3)) if g.node_count <= 12]
+        assert {g.node_count for g in graphs} == set(range(1, 13))
+        for g in graphs:
+            a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
+            half = statevector_depth1(g, a)
+            refs = [butterfly_statevector(g, a)]
+            if g.node_count <= 8:  # the dense exponentials are 2^n x 2^n
+                refs.append(dense_statevector(g, a))
+            for full in refs:
+                lower, upper = np.split(full, 2)
+                assert half.shape == lower.shape == (1 << (g.node_count - 1),)
+                assert np.max(np.abs(half - lower)) < 1e-12
+                assert np.max(np.abs(half - upper[::-1])) < 1e-12
 
     def test_small_and_edgeless_graphs(self):
         a = Angles(0.9, 0.35)
-        for n in (0, 1):
-            g = WeightedGraph(range(n), {})
-            assert np.allclose(statevector_depth1(g, a), dense_statevector(g, a), atol=1e-15)
+        # one qubit: the half is the single amplitude of |0>
+        g = WeightedGraph(range(1), {})
+        assert statevector_depth1(g, a).shape == (1,)
+        assert np.allclose(unfold(statevector_depth1(g, a)), dense_statevector(g, a), atol=1e-15)
         # no couplings: each qubit is exp(-i beta X)|+> = e^{-i beta}|+>
         g = WeightedGraph(range(7), {})
         assert np.allclose(statevector_depth1(g, a), 2**-3.5 * np.exp(-7j * a.beta), atol=1e-15)
         # qubits 0, 2 and 4 have no lower neighbour; 4 has no neighbour at all
         g = WeightedGraph(range(6), {(0, 1): 0.8, (1, 3): -1.1, (2, 3): 0.5, (2, 5): 1.4})
         assert np.max(np.abs(phase_state(g, a.gamma)
-                             - 2**-3 * np.exp(-1j * a.gamma * edge_cost_diagonal(g)))) < 1e-15
-        assert np.allclose(statevector_depth1(g, a), dense_statevector(g, a), atol=1e-12)
+                             - 2**-3 * np.exp(-1j * a.gamma * edge_cost_diagonal(g)[:32]))) < 1e-15
+        assert np.allclose(unfold(statevector_depth1(g, a)), dense_statevector(g, a), atol=1e-12)
+
+    def test_no_qubits_rejected(self):
+        # the empty state has no top qubit to fold on
+        with pytest.raises(ValueError, match="statevector needs 1 to"):
+            statevector_depth1(WeightedGraph(range(0), {}), Angles(0.9, 0.35))
 
     def test_mixer_factors_match_matrix_exponential(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -216,7 +243,8 @@ class TestStatevector:
             for _ in range(3):
                 g = random_weighted_graph(n, 0.7, rng)
                 a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
-                assert np.allclose(statevector_depth1(g, a), dense_statevector(g, a), atol=1e-12)
+                assert np.allclose(unfold(statevector_depth1(g, a)), dense_statevector(g, a),
+                                   atol=1e-12)
 
     def test_zero_angles_uniform(self):
         g = make_graph({(0, 1): 1.0, (1, 2): -0.5})
@@ -228,7 +256,7 @@ class TestStatevector:
             g = random_weighted_graph(6, 0.5, rng)
             a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
             state = statevector_depth1(g, a)
-            assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(state) ** 2 - 0.5) < 1e-12
 
     def test_two_qubit_hand_formula(self):
         # one edge J=1: amp(00)=amp(11)=(cos2b e^{-ig} - i sin2b e^{ig})/2,
@@ -238,12 +266,14 @@ class TestStatevector:
         state = statevector_depth1(g, Angles(gam, bet))
         same = 0.5 * (np.cos(2 * bet) * np.exp(-1j * gam) - 1j * np.sin(2 * bet) * np.exp(1j * gam))
         diff = 0.5 * (np.cos(2 * bet) * np.exp(1j * gam) - 1j * np.sin(2 * bet) * np.exp(-1j * gam))
-        assert np.allclose(state, [same, diff, diff, same], atol=1e-12)
+        assert np.allclose(state, [same, diff], atol=1e-12)
 
     def test_qubit_bound(self):
-        g = make_graph({(0, 1): 1.0})
-        with pytest.raises(ValueError, match="statevector"):
-            statevector_depth1(g, Angles(0.1, 0.1), max_qubits=1)
+        # raised before the 2^22 amplitudes of the half are allocated
+        n = STATEVECTOR_MAX_QUBITS + 1
+        g = WeightedGraph(range(n), {(q, q + 1): 0.5 for q in range(n - 1)})
+        with pytest.raises(ValueError, match="statevector needs 1 to"):
+            statevector_depth1(g, Angles(0.1, 0.1))
 
 
 class TestClosedForm:
@@ -412,41 +442,87 @@ class TestOptimizeAngles:
             optimize_angles(WeightedGraph(range(3), {}))
 
 
-def cumulative(state):
-    probs = np.abs(state) ** 2
-    return np.cumsum(probs / probs.sum())
+def cumulative(half):
+    """The cumulative distribution of a half state, normalised to a total of 1/2."""
+    probs = np.abs(half) ** 2
+    return np.cumsum(probs / (2 * probs.sum()))
 
 
 def index_bits(idx, n):
     return (idx[:, None] >> np.arange(n)) & 1
 
 
+def full_space_indices(cum, k, rng):
+    """Reference: the full-space sampler the folded search replaced."""
+    idx = np.searchsorted(cum, rng.random(k), side="right")
+    return np.minimum(idx, len(cum) - 1)
+
+
+def fold(idx, n):
+    """The index of the flipped basis state where the top qubit is 1."""
+    top = idx >> (n - 1) == 1
+    return np.where(top, (1 << n) - 1 - idx, idx)
+
+
+class Stream:
+    """A stand-in generator whose random() returns given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, k):
+        assert k == len(self.values)
+        return self.values.copy()
+
+
 class TestSampling:
     """The basis-state sampler behind every statevector draw."""
 
     def test_deterministic_basis_state(self, rng):
-        state = np.zeros(8, dtype=complex)
-        state[5] = 1.0
-        idx = _sample_indices(cumulative(state), 50, rng)
-        assert np.all(index_bits(idx, 3) == [1, 0, 1])
+        # |010> and its flip |101> in equal parts: every draw folds onto 010
+        half = np.zeros(4, dtype=complex)
+        half[2] = 2**-0.5
+        cum = cumulative(half)
+        idx = _sample_indices(cum, 50, rng)
+        assert np.all(index_bits(idx, 3) == [0, 1, 0])
+        # u = S, the smallest and the largest draw stay on the one live bin
+        extremes = Stream([cum[-1], 0.0, np.nextafter(1.0, 0.0)])
+        assert _sample_indices(cum, 3, extremes).tolist() == [2, 2, 2]
 
     def test_uniform_state_bit_means(self, rng):
-        state = np.full(16, 0.25, dtype=complex)
+        half = np.full(8, 0.25, dtype=complex)
         k = 40000
-        bits = index_bits(_sample_indices(cumulative(state), k, rng), 4)
+        bits = index_bits(_sample_indices(cumulative(half), k, rng), 4)
         sigma = 0.5 / np.sqrt(k)
-        assert np.all(np.abs(bits.mean(axis=0) - 0.5) < 3 * sigma)
+        assert np.all(np.abs(bits[:, :3].mean(axis=0) - 0.5) < 3 * sigma)
+        assert not bits[:, 3].any()
 
     def test_chi_square_goodness_of_fit(self):
         rng = np.random.default_rng(99)
         raw = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        state = raw / np.linalg.norm(raw)
+        half = raw / np.linalg.norm(raw) / np.sqrt(2)
         k = 100_000
-        idx = _sample_indices(cumulative(state), k, np.random.default_rng(7))
+        idx = _sample_indices(cumulative(half), k, np.random.default_rng(7))
         observed = np.bincount(idx, minlength=16)
-        expected = k * np.abs(state) ** 2
+        expected = k * 2 * np.abs(half) ** 2
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(0.999, df=15)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 16])
+    def test_folded_draws_equal_full_space_draws(self, n):
+        # the half search returns the folded full-space index for every draw,
+        # including u = S, the boundaries of the lower half, and u = 0
+        rng = np.random.default_rng(n)
+        g = random_weighted_graph(n, 0.5, rng)
+        half_probs = np.abs(statevector_depth1(g, Angles(*rng.uniform(0, np.pi, 2)))) ** 2
+        half_probs /= 2 * half_probs.sum()
+        half_probs[rng.random(half_probs.size) < 0.1] = 0.0  # zero bins and plateaus
+        cum = np.cumsum(half_probs)
+        full = np.cumsum(np.concatenate([half_probs, half_probs[::-1]]))
+        assert np.array_equal(full[: cum.size], cum)
+        u = np.concatenate([rng.random(1 << 16), [cum[-1], 0.0], cum[: 64]])
+        want = fold(full_space_indices(full, u.size, Stream(u)), n)
+        assert np.array_equal(_sample_indices(cum, u.size, Stream(u)), want)
 
     def test_cumulative_probs_equal_unfused_expression(self):
         # squaring, normalising and summing in place must not change a bit
@@ -454,19 +530,25 @@ class TestSampling:
             g = generate_regular_gaussian(n, d, seed=847)
             a = optimize_angles(g)
             sampler = CorrelationSampler(g, a, mode=MODE_STATEVECTOR)
-            assert np.array_equal(sampler.cumulative_probs(), cumulative(statevector_depth1(g, a)))
+            cum = sampler.cumulative_probs()
+            assert cum.shape == (1 << (n - 1),)
+            assert abs(cum[-1] - 0.5) < 1e-12
+            assert np.array_equal(cum, cumulative(statevector_depth1(g, a)))
 
     @pytest.mark.parametrize("n, d", [(14, 8), (16, 5)])
     def test_draws_match_butterfly_reference(self, n, d):
+        # the half sampler's counts equal the full-space sampler's, stream for stream
         g = generate_regular_gaussian(n, d, seed=847)
         a = optimize_angles(g)
-        new = CorrelationSampler(g, a, mode=MODE_STATEVECTOR)
-        old = CorrelationSampler(g, a, mode=MODE_STATEVECTOR,
-                                 cumulative_probs=cumulative(butterfly_statevector(g, a)))
+        sampler = CorrelationSampler(g, a, mode=MODE_STATEVECTOR)
+        probs = np.abs(butterfly_statevector(g, a)) ** 2
+        full = np.cumsum(probs / probs.sum())
+        ends, _ = g.edge_index()
         for seed in range(4):
             for k in (64, 4096):
-                got = new.draw(k, np.random.default_rng(seed)).disagree
-                want = old.draw(k, np.random.default_rng(seed)).disagree
+                got = sampler.draw(k, np.random.default_rng(seed)).disagree
+                bits = index_bits(full_space_indices(full, k, np.random.default_rng(seed)), n)
+                want = (bits[:, ends[:, 0]] ^ bits[:, ends[:, 1]]).sum(axis=0)
                 assert np.array_equal(got, want)
 
     def test_shot_count_validated(self, rng):
@@ -557,8 +639,7 @@ def bit_matrix_estimate(sampler, ks, rng):
     cum = sampler.cumulative_probs()
     chunks = []
     for k in ks:
-        idx = np.searchsorted(cum, rng.random(k), side="right")
-        idx = np.minimum(idx, len(cum) - 1)
+        idx = _sample_indices(cum, k, rng)
         chunks.append(((idx[:, None] >> np.arange(n)) & 1).astype(np.uint8))
     z = 1.0 - 2.0 * np.vstack(chunks).astype(float)
     pos = {u: q for q, u in enumerate(sampler.graph.nodes)}
