@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,38 @@ from .driver import DriverConfig, EpisodeResult, StepCache, run_episode
 from .instance import Instance
 from .seeding import make_rng
 
-CAP_GRID: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096)
-HARD_RATIO_THRESHOLD = 0.95
-SCREEN_CAP = 1024
-OPERATIONAL_SR_FLOOR = 0.90
+
+@dataclass(frozen=True)
+class ProtocolConfig:
+    """The fixed-cap protocol's knobs, the INI section [benchmark].
+
+    The defaults are the reference protocol.  Screening runs screen_trials
+    uniform episodes at screen_cap and calls an instance hard when their mean
+    approximation ratio is at most hard_threshold.  Calibration probes
+    cal_trials fresh uniform episodes per cap, up cap_grid and then bisecting
+    at cal_resolution shots, for the smallest cap reaching cal_target.
+    Evaluation runs eval_trials episodes per policy.  The operational subset
+    of a report keeps the instances whose uniform SR is at least
+    operational_floor.
+    """
+
+    screen_trials: int = 60
+    screen_cap: int = 1024
+    hard_threshold: float = 0.95
+    cal_trials: int = 60
+    cal_target: float = 0.95
+    cal_resolution: int = 16
+    cap_grid: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096)
+    eval_trials: int = 60
+    operational_floor: float = 0.90
+
+    def __post_init__(self):
+        for name in ("screen_trials", "screen_cap", "cal_trials", "cal_resolution", "eval_trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        grid = self.cap_grid
+        if not grid or grid[0] < 1 or any(a >= b for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"cap_grid must be positive and strictly increasing, got {grid}")
 
 
 def make_policy(name: str, checkpoint=None):
@@ -115,7 +143,12 @@ class TrialSummary:
 
 @dataclass
 class EvaluationRecord:
-    """One policy-instance row under the shared calibrated cap."""
+    """One policy-instance row under the shared calibrated cap.
+
+    The fields are the records.csv columns, in order.  The metrics are the
+    policy's TrialSummary; reduction and esp_ratio compare it with the
+    uniform reference run under the same cap, whose SR is uniform_sr.
+    """
 
     instance_id: str
     category: str
@@ -123,78 +156,46 @@ class EvaluationRecord:
     d: int
     policy: str
     cap: int
-    summary: TrialSummary
+    sr: float
+    median_shots: float
+    mean_shots: float
+    p90_shots: float
+    esp: float | None
+    esp_ratio: float | None
+    reduction: float | None
+    restart_cost: float | None
     uniform_sr: float
-    reduction: float | None = None
-    esp_ratio: float | None = None
-
-    def to_row(self) -> dict:
-        s = self.summary
-        return {
-            "instance_id": self.instance_id,
-            "category": self.category,
-            "n": self.n,
-            "d": self.d,
-            "policy": self.policy,
-            "cap": self.cap,
-            "sr": s.sr,
-            "median_shots": s.median_shots,
-            "mean_shots": s.mean_shots,
-            "p90_shots": s.p90_shots,
-            "esp": s.esp,
-            "esp_ratio": self.esp_ratio,
-            "reduction": self.reduction,
-            "restart_cost": s.restart_cost,
-            "uniform_sr": self.uniform_sr,
-        }
 
     @classmethod
     def from_row(cls, row: dict) -> "EvaluationRecord":
-        summary = TrialSummary(
-            n_trials=0,
-            sr=float(row["sr"]),
-            median_shots=float(row["median_shots"]),
-            mean_shots=float(row["mean_shots"]),
-            p90_shots=float(row["p90_shots"]),
-            median_success_shots=None,
-            esp=None if row["esp"] in (None, "") else float(row["esp"]),
-            restart_cost=None if row["restart_cost"] in (None, "") else float(row["restart_cost"]),
-        )
-        return cls(
-            instance_id=row["instance_id"],
-            category=row["category"],
-            n=int(row["n"]),
-            d=int(row["d"]),
-            policy=row["policy"],
-            cap=int(row["cap"]),
-            summary=summary,
-            uniform_sr=float(row["uniform_sr"]),
-            reduction=None if row["reduction"] in (None, "") else float(row["reduction"]),
-            esp_ratio=None if row["esp_ratio"] in (None, "") else float(row["esp_ratio"]),
-        )
+        """Parse a records.csv row by each field's declared type; an empty optional cell is None."""
+        return cls(**{f.name: _parse_cell(f.type, row[f.name]) for f in fields(cls)})
 
 
-def is_hard(mean_ratio: float, threshold: float = HARD_RATIO_THRESHOLD) -> bool:
-    """Hard means the uniform approximation ratio is at most the threshold."""
-    return mean_ratio <= threshold
+def _parse_cell(type_name: str, raw: str | None):
+    if raw in ("", None) and type_name.endswith(" | None"):
+        return None
+    return {"str": str, "int": int, "float": float}[type_name.removesuffix(" | None")](raw)
 
 
 def hard_screen(
     inst: Instance,
     cfg: DriverConfig,
-    n_trials: int = 60,
-    cap: int = SCREEN_CAP,
+    protocol: ProtocolConfig,
     master_seed: int = 0,
-    threshold: float = HARD_RATIO_THRESHOLD,
     jobs: int = 1,
 ) -> tuple[str, float]:
-    """Classify an instance by its mean uniform approximation ratio."""
+    """Classify an instance by its mean uniform approximation ratio.
+
+    Hard means the ratio is at most the protocol's hard_threshold.
+    """
+    cap = protocol.screen_cap
     results = run_trials(
-        inst, UniformPolicy(), cap, n_trials, cfg,
+        inst, UniformPolicy(), cap, protocol.screen_trials, cfg,
         (master_seed, "screen", inst.instance_id, cap), jobs=jobs,
     )
     mean_ratio = statistics.fmean(r.approx_ratio for r in results)
-    return ("hard" if is_hard(mean_ratio, threshold) else "easy"), mean_ratio
+    return ("hard" if mean_ratio <= protocol.hard_threshold else "easy"), mean_ratio
 
 
 @dataclass
@@ -205,33 +206,27 @@ class CalibrationResult:
     probes: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "cap": self.cap,
-            "budget_limited": self.budget_limited,
-            "sr_at_cap": self.sr_at_cap,
-            "probes": self.probes,
-        }
+        return asdict(self)
 
 
 def calibrate_cap(
     inst: Instance,
     cfg: DriverConfig,
-    n_cal: int = 60,
-    target: float = 0.95,
-    grid: tuple[int, ...] = CAP_GRID,
-    resolution: int = 16,
+    protocol: ProtocolConfig,
     master_seed: int = 0,
     cal_tag: str | int = "calibrate",
     jobs: int = 1,
 ) -> CalibrationResult:
     """Two-stage search for the smallest cap where uniform meets the target.
 
-    Stage 1 scans the power-of-two grid upward; stage 2 binary-searches the
-    bracket below the first passing grid point at 16-shot resolution.  Every
+    Stage 1 scans the cap grid upward; stage 2 binary-searches the bracket
+    below the first passing grid point at the protocol's resolution.  Every
     probe point uses a fresh batch of trials to avoid adaptive-stopping
     bias.  If even the top of the grid fails, that cap is returned flagged
     as budget-limited.
     """
+    n_cal, target, grid = protocol.cal_trials, protocol.cal_target, protocol.cap_grid
+    resolution = protocol.cal_resolution
     cache = StepCache()
     probes: list[dict] = []
 
@@ -277,11 +272,13 @@ def evaluate_methods(
     policies: dict[str, object],
     cap: int,
     cfg: DriverConfig,
-    n_trials: int = 60,
+    protocol: ProtocolConfig,
     master_seed: int = 0,
     jobs: int = 1,
 ) -> tuple[list[EvaluationRecord], dict[str, list[EpisodeResult]]]:
     """Evaluate named policies on one instance under its shared cap.
+
+    Each policy runs the protocol's eval_trials episodes.
 
     A uniform reference is always evaluated (reusing the caller's entry if
     present) so reductions and ESP ratios are well defined.
@@ -294,34 +291,28 @@ def evaluate_methods(
     trials: dict[str, list[EpisodeResult]] = {}
     for name, policy in all_policies.items():
         trials[name] = run_trials(
-            inst, policy, cap, n_trials, cfg,
+            inst, policy, cap, protocol.eval_trials, cfg,
             (master_seed, "eval", inst.instance_id, name), cache=cache, jobs=jobs,
         )
     summaries = {name: TrialSummary.from_results(r) for name, r in trials.items()}
     uni = summaries["uniform"]
 
-    records = []
-    for name in all_policies:
-        s = summaries[name]
-        records.append(
-            EvaluationRecord(
-                instance_id=inst.instance_id,
-                category=inst.category,
-                n=inst.n,
-                d=inst.d,
-                policy=name,
-                cap=cap,
-                summary=s,
-                uniform_sr=uni.sr,
-                reduction=None if uni.median_shots == 0 else 1 - s.median_shots / uni.median_shots,
-                esp_ratio=None if (s.esp is None or uni.esp in (None, 0)) else s.esp / uni.esp,
-            )
+    records = [
+        EvaluationRecord(
+            instance_id=inst.instance_id, category=inst.category, n=inst.n, d=inst.d,
+            policy=name, cap=cap, sr=s.sr, median_shots=s.median_shots,
+            mean_shots=s.mean_shots, p90_shots=s.p90_shots, esp=s.esp,
+            esp_ratio=None if (s.esp is None or uni.esp in (None, 0)) else s.esp / uni.esp,
+            reduction=None if uni.median_shots == 0 else 1 - s.median_shots / uni.median_shots,
+            restart_cost=s.restart_cost, uniform_sr=uni.sr,
         )
+        for name, s in summaries.items()
+    ]
     return records, trials
 
 
 def operational_filter(
-    records: list[EvaluationRecord], floor: float = OPERATIONAL_SR_FLOOR
+    records: list[EvaluationRecord], floor: float
 ) -> tuple[list[EvaluationRecord], list[EvaluationRecord]]:
     """Split records into the operational subset and the excluded remainder."""
     kept = [r for r in records if r.uniform_sr >= floor]
@@ -363,7 +354,7 @@ def aggregate(records: list[EvaluationRecord], group_by: str = "policy") -> list
         row = {
             "group": key if isinstance(key, str) else "/".join(str(k) for k in key),
             "pairs": len(rs),
-            "mean_sr": statistics.fmean(r.summary.sr for r in rs),
+            "mean_sr": statistics.fmean(r.sr for r in rs),
             "mean_reduction": statistics.fmean(reductions) if reductions else None,
             "mean_esp_ratio": statistics.fmean(ratios) if ratios else None,
         }
@@ -371,19 +362,8 @@ def aggregate(records: list[EvaluationRecord], group_by: str = "policy") -> list
     return rows
 
 
-CSV_COLUMNS = [
-    "instance_id", "category", "n", "d", "policy", "cap", "sr",
-    "median_shots", "mean_shots", "p90_shots", "esp", "esp_ratio",
-    "reduction", "restart_cost", "uniform_sr",
-]
-
-
 def write_records_csv(records: list[EvaluationRecord], path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for r in records:
-            writer.writerow({k: _csv_cell(v) for k, v in r.to_row().items()})
+    _write_csv(path, [f.name for f in fields(EvaluationRecord)], map(asdict, records))
 
 
 def read_records_csv(path: Path | str) -> list[EvaluationRecord]:
@@ -392,15 +372,16 @@ def read_records_csv(path: Path | str) -> list[EvaluationRecord]:
 
 
 def write_rows_csv(rows: list[dict], path: Path | str) -> None:
+    """A header from the first row's keys, then the rows; no rows give an empty file."""
     if not rows:
         Path(path).write_text("")
         return
+    _write_csv(path, list(rows[0]), rows)
+
+
+def _write_csv(path: Path | str, columns: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-
-
-def _csv_cell(v):
-    return "" if v is None else v
+            writer.writerow({k: "" if v is None else v for k, v in row.items()})

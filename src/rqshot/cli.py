@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +66,10 @@ def cmd_gen(args, cfg: RunConfig) -> int:
 
 
 def cmd_screen(args, cfg: RunConfig) -> int:
-    dcfg = cfg.driver_config()
     for path in _instance_paths(args.instances):
         inst = Instance.load(path)
         label, mean_ratio = bm.hard_screen(
-            inst, dcfg, n_trials=cfg.screen_trials, cap=cfg.screen_cap,
-            master_seed=cfg.master_seed, threshold=cfg.hard_threshold, jobs=cfg.jobs,
+            inst, cfg.driver, cfg.protocol, master_seed=cfg.master_seed, jobs=cfg.jobs
         )
         inst.category = label
         inst.save(path)
@@ -81,9 +80,7 @@ def cmd_screen(args, cfg: RunConfig) -> int:
 def cmd_calibrate(args, cfg: RunConfig) -> int:
     inst = Instance.load(args.instance)
     result = bm.calibrate_cap(
-        inst, cfg.driver_config(), n_cal=cfg.cal_trials, target=cfg.cal_target,
-        grid=cfg.cap_grid, resolution=cfg.cal_resolution, master_seed=cfg.master_seed,
-        jobs=cfg.jobs,
+        inst, cfg.driver, cfg.protocol, master_seed=cfg.master_seed, jobs=cfg.jobs
     )
     out = Path(args.out) if args.out else Path(args.instance).with_suffix(".cap.json")
     _write_json(out, {"instance_id": inst.instance_id, **result.to_dict()})
@@ -109,12 +106,12 @@ def _resolve_cap(arg: str, inst: Instance, caps_dir: str | None) -> int:
 def cmd_train(args, cfg: RunConfig) -> int:
     if cfg.jobs > 1:
         raise ValueError("train runs serially (one random stream, one Q table); set jobs to 1")
-    inst = Instance.load(args.instance)
     tcfg = cfg.train if args.preset is None else TrainConfig.preset(args.preset)
     if args.episodes is not None:
-        tcfg.episodes = args.episodes
+        tcfg = replace(tcfg, episodes=args.episodes)
+    inst = Instance.load(args.instance)
     cap = _resolve_cap(args.cap, inst, args.caps_dir)
-    ckpt = train(inst, cap, tcfg, cfg.driver_config(), master_seed=cfg.master_seed)
+    ckpt = train(inst, cap, tcfg, cfg.driver, master_seed=cfg.master_seed)
     ckpt.save(args.out)
     sr = "n/a" if ckpt.validation_sr is None else f"{ckpt.validation_sr:.3f}"
     print(
@@ -133,7 +130,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         if name == "rl":
             if not args.checkpoint:
                 raise FileNotFoundError("rl policy requested but no --checkpoint given")
-            checkpoint = PolicyCheckpoint.load(args.checkpoint, expected_bins=cfg.bins)
+            checkpoint = PolicyCheckpoint.load(args.checkpoint, expected_bins=cfg.driver.bins)
             policies[name] = bm.make_policy("rl", checkpoint)
         else:
             policies[name] = bm.make_policy(name)
@@ -149,8 +146,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             raise FileNotFoundError(f"{inst.instance_id} has no recorded optimum; run gen/screen")
         cap = _resolve_cap(args.cap, inst, args.caps_dir)
         records, trials = bm.evaluate_methods(
-            inst, policies, cap, cfg.driver_config(), n_trials=cfg.eval_trials,
-            master_seed=cfg.master_seed, jobs=cfg.jobs,
+            inst, policies, cap, cfg.driver, cfg.protocol, master_seed=cfg.master_seed,
+            jobs=cfg.jobs,
         )
         all_records.extend(records)
         for policy_name, results in trials.items():
@@ -162,7 +159,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
                     for s in r.steps:
                         step_lines.append(json.dumps({**head, **s.to_dict()}, sort_keys=True))
                     step_lines.append(json.dumps({**head, "summary": r.to_dict()}, sort_keys=True))
-        print(f"evaluated {inst.instance_id} at cap {cap} over {cfg.eval_trials} trials")
+        print(f"evaluated {inst.instance_id} at cap {cap} over {cfg.protocol.eval_trials} trials")
 
     bm.write_records_csv(all_records, out / "records.csv")
     (out / "trials.jsonl").write_text("\n".join(trial_lines) + ("\n" if trial_lines else ""))
@@ -185,7 +182,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    operational, excluded = bm.operational_filter(records, cfg.operational_floor)
+    operational, excluded = bm.operational_filter(records, cfg.protocol.operational_floor)
     held = [r for r in operational if r.category not in ("training", "validation")]
 
     views = {
@@ -220,16 +217,15 @@ def cmd_report(args, cfg: RunConfig) -> int:
             rows = [r for r in operational if r.policy == name and r.instance_id in uniform_rows]
             by_metric = {"median": [], "mean": [], "p90": [], "restart": []}
             for r in rows:
-                u = uniform_rows[r.instance_id].summary
-                s = r.summary
+                u = uniform_rows[r.instance_id]
                 if u.median_shots:
-                    by_metric["median"].append(1 - s.median_shots / u.median_shots)
+                    by_metric["median"].append(1 - r.median_shots / u.median_shots)
                 if u.mean_shots:
-                    by_metric["mean"].append(1 - s.mean_shots / u.mean_shots)
+                    by_metric["mean"].append(1 - r.mean_shots / u.mean_shots)
                 if u.p90_shots:
-                    by_metric["p90"].append(1 - s.p90_shots / u.p90_shots)
-                if s.restart_cost is not None and u.restart_cost:
-                    by_metric["restart"].append(1 - s.restart_cost / u.restart_cost)
+                    by_metric["p90"].append(1 - r.p90_shots / u.p90_shots)
+                if r.restart_cost is not None and u.restart_cost:
+                    by_metric["restart"].append(1 - r.restart_cost / u.restart_cost)
             cells = "  ".join(
                 f"{metric}={np.mean(vals):.1%}" if vals else f"{metric}=n/a"
                 for metric, vals in by_metric.items()
@@ -241,8 +237,8 @@ def cmd_report(args, cfg: RunConfig) -> int:
     names = sorted({r.policy for r in records} - {"uniform"})
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            sr_a = {r.instance_id: r.summary.sr for r in operational if r.policy == a}
-            sr_b = {r.instance_id: r.summary.sr for r in operational if r.policy == b}
+            sr_a = {r.instance_id: r.sr for r in operational if r.policy == a}
+            sr_b = {r.instance_id: r.sr for r in operational if r.policy == b}
             matched = sorted(set(sr_a) & set(sr_b))
             if not matched:
                 continue

@@ -22,6 +22,8 @@ import numpy as np
 
 from .allocation import AllocationDecision
 from .features import (
+    ZGAP_LITERAL,
+    ZGAP_RELATIVE,
     BinBoundaries,
     DiscreteState,
     StepState,
@@ -63,6 +65,16 @@ class DriverConfig:
     zgap_variant: str = "literal"
     k_top: int = 3
     bins: BinBoundaries = field(default_factory=BinBoundaries)
+
+    def __post_init__(self):
+        if self.n_c < 1:
+            raise ValueError(f"n_c must be at least 1, got {self.n_c}")
+        if self.sampling_mode not in (MODE_AUTO, MODE_EXACT, MODE_STATEVECTOR, MODE_BINOMIAL):
+            raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
+        if self.zgap_variant not in (ZGAP_LITERAL, ZGAP_RELATIVE):
+            raise ValueError(f"unknown zgap variant {self.zgap_variant!r}")
+        if self.k_top < 1:
+            raise ValueError(f"k_top must be at least 1, got {self.k_top}")
 
 
 class EpisodePolicy(Protocol):

@@ -73,6 +73,14 @@ class BinBoundaries:
     kappa_edges: tuple[float, ...] = (0.10, 0.20, 0.30, 0.40)
     dist_bins: int = 5
 
+    def __post_init__(self):
+        if self.dist_bins < 1:
+            raise ValueError(f"dist_bins must be at least 1, got {self.dist_bins}")
+        for name in ("zeta_edges", "kappa_edges"):
+            edges = getattr(self, name)
+            if list(edges) != sorted(edges):
+                raise ValueError(f"{name} must be in ascending order, got {edges}")
+
     @property
     def zeta_bins(self) -> int:
         return len(self.zeta_edges) + 1

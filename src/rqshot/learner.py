@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import copy
 import json
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .allocation import ACTIONS, N_ACTIONS, RLPolicy, compose, greedy_action, heuristic_index
+from .benchmark import TrialSummary
 from .driver import DriverConfig, StepCache, run_episode
 from .features import BinBoundaries, DiscreteState, probe_shot_count
 from .instance import Instance
@@ -133,6 +133,16 @@ class TrainConfig:
     extra_fail_penalty: float = 0.0
     validation_every: int = 50
     validation_trials: int = 20
+
+    def __post_init__(self):
+        for name in ("episodes", "warmup", "validation_every", "lambda0", "lambda_max"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("eps_start", "eps_min", "eps_decay"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if self.validation_trials < 1:
+            raise ValueError(f"validation_trials must be at least 1, got {self.validation_trials}")
 
     @classmethod
     def aggressive(cls) -> "TrainConfig":
@@ -320,17 +330,12 @@ def _validate_greedy(
     cache: StepCache,
 ) -> dict:
     policy = RLPolicy(tables.q1, tables.q2)
-    results = []
-    for t in range(trials):
-        rng = make_rng(master_seed, "train-val", inst.instance_id, episode, t)
-        results.append(run_episode(inst, policy, cap, driver_cfg, rng, cache=cache))
-    shots = [r.total_shots for r in results]
-    return {
-        "episode": episode,
-        "sr": sum(r.sigma for r in results) / trials,
-        "median_shots": statistics.median(shots),
-        "mean_shots": statistics.fmean(shots),
-    }
+    s = TrialSummary.from_results([
+        run_episode(inst, policy, cap, driver_cfg,
+                    make_rng(master_seed, "train-val", inst.instance_id, episode, t), cache=cache)
+        for t in range(trials)
+    ])
+    return {"episode": episode, "sr": s.sr, "median_shots": s.median_shots, "mean_shots": s.mean_shots}
 
 
 def train(

@@ -49,7 +49,8 @@ from rqshot.seeding import make_rng
 
 from .conftest import ising_energy, random_weighted_graph
 
-REFERENCE_SCREEN_CAP = 128
+# the reference protocol, screened at cap 128
+PROTOCOL = bm.ProtocolConfig(screen_cap=128)
 POOL_MASTER_SEED = 7  # screening/calibration streams for the curated pools
 
 # hard, calibratable (n, d, seed) candidates inside n in [12,16], d in [6,10];
@@ -94,10 +95,9 @@ def trained(dcfg):
     """Criterion 10/11 training run, shared: standard preset, 1200 episodes."""
     n, d, seed = TRAIN_BASE
     inst = generate_instance(n, d, seed=seed)
-    label, _ = bm.hard_screen(inst, dcfg, n_trials=60, cap=REFERENCE_SCREEN_CAP,
-                              master_seed=POOL_MASTER_SEED)
+    label, _ = bm.hard_screen(inst, dcfg, PROTOCOL, master_seed=POOL_MASTER_SEED)
     assert label == "hard", "criterion 10 training base must screen hard"
-    cal = bm.calibrate_cap(inst, dcfg, n_cal=60, target=0.95, master_seed=POOL_MASTER_SEED)
+    cal = bm.calibrate_cap(inst, dcfg, PROTOCOL, master_seed=POOL_MASTER_SEED)
     assert not cal.budget_limited
     ckpt = train(inst, cal.cap, TrainConfig(), dcfg, master_seed=TRAIN_MASTER_SEED)
     return inst, cal.cap, ckpt
@@ -312,13 +312,12 @@ def test_c08_cap_calibration(dcfg):
     total = 0
     for n, d, seed in EASY_POOL:
         inst = generate_instance(n, d, seed=seed)
-        label, _ = bm.hard_screen(inst, dcfg, n_trials=60, cap=REFERENCE_SCREEN_CAP,
-                                  master_seed=POOL_MASTER_SEED)
+        label, _ = bm.hard_screen(inst, dcfg, PROTOCOL, master_seed=POOL_MASTER_SEED)
         assert label == "easy", f"criterion 8 wants easy instances, {inst.instance_id} is not"
         for rep in range(20):
             total += 1
-            cal = bm.calibrate_cap(inst, dcfg, n_cal=60, target=0.95,
-                                   master_seed=POOL_MASTER_SEED, cal_tag=f"c8-rep{rep}")
+            cal = bm.calibrate_cap(inst, dcfg, PROTOCOL, master_seed=POOL_MASTER_SEED,
+                                   cal_tag=f"c8-rep{rep}")
             fresh = bm.run_trials(inst, UniformPolicy(), cal.cap, 60, dcfg,
                                   (POOL_MASTER_SEED, "c8-fresh", inst.instance_id, rep))
             if sum(r.sigma for r in fresh) / 60 >= 0.95:
@@ -335,11 +334,10 @@ def hard_pool(dcfg):
         if len(pool) == 10:
             break
         inst = generate_instance(n, d, seed=seed)
-        label, ratio = bm.hard_screen(inst, dcfg, n_trials=60, cap=REFERENCE_SCREEN_CAP,
-                                      master_seed=POOL_MASTER_SEED)
+        label, _ = bm.hard_screen(inst, dcfg, PROTOCOL, master_seed=POOL_MASTER_SEED)
         if label != "hard":
             continue
-        cal = bm.calibrate_cap(inst, dcfg, n_cal=60, target=0.95, master_seed=POOL_MASTER_SEED)
+        cal = bm.calibrate_cap(inst, dcfg, PROTOCOL, master_seed=POOL_MASTER_SEED)
         if cal.budget_limited:
             continue
         pool.append((inst, cal.cap))
@@ -351,12 +349,12 @@ def test_c09_heuristic_desk_scale(dcfg, hard_pool):
     reductions, srs = [], []
     for inst, cap in hard_pool:
         records, _ = bm.evaluate_methods(
-            inst, {"heuristic": HeuristicPolicy()}, cap, dcfg, n_trials=60,
+            inst, {"heuristic": HeuristicPolicy()}, cap, dcfg, PROTOCOL,
             master_seed=EVAL_MASTER_SEED,
         )
         heu = next(r for r in records if r.policy == "heuristic")
         reductions.append(heu.reduction)
-        srs.append(heu.summary.sr)
+        srs.append(heu.sr)
     mean_red = statistics.fmean(reductions)
     mean_sr = statistics.fmean(srs)
     ok = mean_red >= 0.10 and mean_sr >= 0.85
@@ -367,17 +365,16 @@ def test_c09_heuristic_desk_scale(dcfg, hard_pool):
 def test_c10_rl_desk_scale(dcfg, trained):
     inst, cap, ckpt = trained
     policies = {"heuristic": HeuristicPolicy(), "rl": ckpt.policy()}
-    records, _ = bm.evaluate_methods(inst, policies, cap, dcfg, n_trials=60,
+    records, _ = bm.evaluate_methods(inst, policies, cap, dcfg, PROTOCOL,
                                      master_seed=EVAL_MASTER_SEED)
     rl = next(r for r in records if r.policy == "rl")
-    base_ok = rl.reduction >= 0.15 and rl.summary.sr >= 0.85
+    base_ok = rl.reduction >= 0.15 and rl.sr >= 0.85
 
     wins = 0
     for i in range(5):
         var = reweighted_instance(inst, seed=i)
-        cal = bm.calibrate_cap(var, dcfg, n_cal=60, target=0.95,
-                               master_seed=POOL_MASTER_SEED)
-        recs, _ = bm.evaluate_methods(var, policies, cal.cap, dcfg, n_trials=60,
+        cal = bm.calibrate_cap(var, dcfg, PROTOCOL, master_seed=POOL_MASTER_SEED)
+        recs, _ = bm.evaluate_methods(var, policies, cal.cap, dcfg, PROTOCOL,
                                       master_seed=EVAL_MASTER_SEED + i)
         heu_v = next(r for r in recs if r.policy == "heuristic")
         rl_v = next(r for r in recs if r.policy == "rl")
@@ -385,7 +382,7 @@ def test_c10_rl_desk_scale(dcfg, trained):
             wins += 1
     ok = base_ok and wins >= 3
     report(10, "rl-desk-scale", ok,
-           f"train instance: reduction {rl.reduction:.1%} SR {rl.summary.sr:.3f}; "
+           f"train instance: reduction {rl.reduction:.1%} SR {rl.sr:.3f}; "
            f"variant wins {wins}/5")
 
 
@@ -426,7 +423,8 @@ def test_c12_metric_arithmetic():
     checks.append(rows[0]["first"] == 13 and rows[0]["second"] == 5 and rows[0]["delta"] == 8)
     # uniform self-comparison
     inst = generate_instance(10, 4, seed=3)
-    records, _ = bm.evaluate_methods(inst, {}, 64, DriverConfig(), n_trials=10, master_seed=1)
+    records, _ = bm.evaluate_methods(inst, {}, 64, DriverConfig(), bm.ProtocolConfig(eval_trials=10),
+                                     master_seed=1)
     uni = records[0]
     checks.append(uni.reduction == 0.0 and uni.esp_ratio == 1.0)
     report(12, "metric-arithmetic", all(checks),

@@ -1,5 +1,7 @@
 import itertools
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from rqshot import benchmark as bm
@@ -17,14 +19,15 @@ def fake_results(shots_and_sigma):
 
 def record_with(policy="heuristic", sr=1.0, median=1000.0, esp=None, uniform_sr=1.0,
                 reduction=None, esp_ratio=None, instance_id="i0", category="cross_size", n=14):
-    summary = bm.TrialSummary(
-        n_trials=60, sr=sr, median_shots=median, mean_shots=median, p90_shots=median,
-        median_success_shots=median, esp=esp, restart_cost=None if sr == 0 else median / sr,
-    )
     return bm.EvaluationRecord(
         instance_id=instance_id, category=category, n=n, d=8, policy=policy, cap=1000,
-        summary=summary, uniform_sr=uniform_sr, reduction=reduction, esp_ratio=esp_ratio,
+        sr=sr, median_shots=median, mean_shots=median, p90_shots=median, esp=esp,
+        esp_ratio=esp_ratio, reduction=reduction,
+        restart_cost=None if sr == 0 else median / sr, uniform_sr=uniform_sr,
     )
+
+
+FLOOR = bm.ProtocolConfig().operational_floor
 
 
 class TestTrialSummary:
@@ -60,27 +63,34 @@ class TestTrialSummary:
 
 class TestHardScreen:
     def test_threshold_inclusive(self):
-        assert bm.is_hard(0.95)
-        assert bm.is_hard(0.90)
-        assert not bm.is_hard(0.9501)
+        # hard means a mean ratio at most the threshold: equal is hard, just above is easy
+        inst = generate_instance(10, 5, seed=2)
+        protocol = bm.ProtocolConfig(screen_trials=6, screen_cap=32)
+        _, ratio = bm.hard_screen(inst, DriverConfig(), protocol, master_seed=4)
+        for threshold, label in ((ratio, "hard"), (np.nextafter(ratio, -np.inf), "easy")):
+            screened = bm.hard_screen(inst, DriverConfig(),
+                                      replace(protocol, hard_threshold=threshold), master_seed=4)
+            assert screened == (label, ratio)
 
     def test_easy_instance_classified_easy(self):
         inst = generate_instance(10, 4, seed=3)
-        label, ratio = bm.hard_screen(inst, DriverConfig(), n_trials=20, cap=1024, master_seed=1)
+        protocol = bm.ProtocolConfig(screen_trials=20, screen_cap=1024)
+        label, ratio = bm.hard_screen(inst, DriverConfig(), protocol, master_seed=1)
         assert label == "easy"
         assert ratio > 0.95
 
     def test_deterministic(self):
         inst = generate_instance(10, 4, seed=3)
-        a = bm.hard_screen(inst, DriverConfig(), n_trials=10, cap=256, master_seed=5)
-        b = bm.hard_screen(inst, DriverConfig(), n_trials=10, cap=256, master_seed=5)
+        protocol = bm.ProtocolConfig(screen_trials=10, screen_cap=256)
+        a = bm.hard_screen(inst, DriverConfig(), protocol, master_seed=5)
+        b = bm.hard_screen(inst, DriverConfig(), protocol, master_seed=5)
         assert a == b
 
 
 class TestCalibration:
     def test_easy_instance_hits_grid_floor(self):
         inst = generate_instance(10, 4, seed=3)
-        cal = bm.calibrate_cap(inst, DriverConfig(), n_cal=20, master_seed=2)
+        cal = bm.calibrate_cap(inst, DriverConfig(), bm.ProtocolConfig(cal_trials=20), master_seed=2)
         assert cal.cap == 64
         assert not cal.budget_limited
         assert cal.sr_at_cap >= 0.95
@@ -88,57 +98,39 @@ class TestCalibration:
     def test_budget_limited_flag(self):
         # force failure by demanding an impossible target
         inst = generate_instance(10, 4, seed=3)
-        cal = bm.calibrate_cap(inst, DriverConfig(), n_cal=7, target=1.01, grid=(64, 128),
-                               master_seed=2)
+        protocol = bm.ProtocolConfig(cal_trials=7, cal_target=1.01, cap_grid=(64, 128))
+        cal = bm.calibrate_cap(inst, DriverConfig(), protocol, master_seed=2)
         assert cal.cap == 128
         assert cal.budget_limited
 
-    def test_stage2_refines_within_bracket(self):
-        # synthetic SR: succeed iff cap >= 300; expect 304 at resolution 16
-        class FakeCal:
-            def __init__(self):
-                self.grid_calls = []
+    def test_stage2_refines_within_bracket(self, monkeypatch):
+        # synthetic SR: every trial succeeds iff cap >= 300; the grid brackets it
+        # in (256, 512] and bisection at resolution 16 lands on 304
+        def fake_run_trials(inst, policy, cap, n_trials, cfg, seed_parts, cache=None, jobs=1):
+            return fake_results([(cap, int(cap >= 300))] * n_trials)
 
-        probes = []
-
-        def sr_at(cap):
-            probes.append(cap)
-            return 1.0 if cap >= 300 else 0.0
-
-        # reuse the module's bracket logic through a tiny local re-run
-        grid = (64, 128, 256, 512)
-        found = None
-        for i, cap in enumerate(grid):
-            if sr_at(cap) >= 0.95:
-                found = i
-                break
-        lo, hi = grid[found - 1], grid[found]
-        while hi - lo > 16:
-            mid = ((lo + hi) // 2) // 16 * 16
-            if mid <= lo or mid >= hi:
-                break
-            if sr_at(mid) >= 0.95:
-                hi = mid
-            else:
-                lo = mid
-        assert hi == 304
-        assert hi % 16 == 0
+        monkeypatch.setattr(bm, "run_trials", fake_run_trials)
+        protocol = bm.ProtocolConfig(cal_trials=5, cap_grid=(64, 128, 256, 512), cal_resolution=16)
+        cal = bm.calibrate_cap(generate_instance(10, 4, seed=3), DriverConfig(), protocol)
+        assert (cal.cap, cal.budget_limited, cal.sr_at_cap) == (304, False, 1.0)
+        assert [p["cap"] for p in cal.probes] == [64, 128, 256, 512, 384, 320, 288, 304]
 
     def test_parallel_jobs_match_serial(self):
         # screen label and ratio, every calibration probe and the cap; the
         # bracket 16..64 makes calibration bisect
         inst = generate_instance(10, 5, seed=2)
-        screens = [bm.hard_screen(inst, DriverConfig(), n_trials=8, cap=64, master_seed=4, jobs=jobs)
+        protocol = bm.ProtocolConfig(screen_trials=8, screen_cap=64, cal_trials=8, cap_grid=(16, 64))
+        screens = [bm.hard_screen(inst, DriverConfig(), protocol, master_seed=4, jobs=jobs)
                    for jobs in (1, 2)]
         assert screens[1] == screens[0]
-        cals = [bm.calibrate_cap(inst, DriverConfig(), n_cal=8, grid=(16, 64), master_seed=4,
+        cals = [bm.calibrate_cap(inst, DriverConfig(), protocol, master_seed=4,
                                  jobs=jobs).to_dict() for jobs in (1, 2)]
         assert cals[1] == cals[0]
         assert len(cals[0]["probes"]) > 2
 
     def test_probes_recorded(self):
         inst = generate_instance(10, 4, seed=3)
-        cal = bm.calibrate_cap(inst, DriverConfig(), n_cal=10, master_seed=2)
+        cal = bm.calibrate_cap(inst, DriverConfig(), bm.ProtocolConfig(cal_trials=10), master_seed=2)
         assert cal.probes[0]["cap"] == 64
         assert all(set(p) == {"cap", "sr"} for p in cal.probes)
 
@@ -148,7 +140,7 @@ def records():
     inst = generate_instance(10, 4, seed=3)
     recs, trials = bm.evaluate_methods(
         inst, {"uniform": UniformPolicy(), "heuristic": HeuristicPolicy()},
-        cap=128, cfg=DriverConfig(), n_trials=20, master_seed=3,
+        cap=128, cfg=DriverConfig(), protocol=bm.ProtocolConfig(eval_trials=20), master_seed=3,
     )
     return recs, trials
 
@@ -168,7 +160,7 @@ class TestEvaluateMethods:
     def test_heuristic_spends_less(self, records):
         recs, _ = records
         heur = next(r for r in recs if r.policy == "heuristic")
-        assert heur.summary.median_shots <= 128 * 2
+        assert heur.median_shots <= 128 * 2
         assert heur.reduction is not None and heur.reduction >= 0.0
 
     def test_trials_keyed_by_policy(self, records):
@@ -199,16 +191,16 @@ class TestOperationalFilter:
             record_with(instance_id="b", uniform_sr=0.90),
             record_with(instance_id="c", uniform_sr=1.0),
         ]
-        kept, dropped = bm.operational_filter(records)
+        kept, dropped = bm.operational_filter(records, FLOOR)
         assert [r.instance_id for r in kept] == ["b", "c"]
         assert [r.instance_id for r in dropped] == ["a"]
 
     def test_empty_input(self):
-        assert bm.operational_filter([]) == ([], [])
+        assert bm.operational_filter([], FLOOR) == ([], [])
 
     def test_filter_preserves_metric_values(self):
         rec = record_with(uniform_sr=0.95, reduction=0.25)
-        kept, _ = bm.operational_filter([rec])
+        kept, _ = bm.operational_filter([rec], FLOOR)
         assert kept[0].reduction == 0.25
 
 
@@ -277,5 +269,18 @@ class TestCsvRoundTrip:
         loaded = bm.read_records_csv(path)
         assert [r.instance_id for r in loaded] == ["a", "b"]
         assert loaded[0].reduction == 0.3
-        assert loaded[0].summary.esp == 100.0
+        assert loaded[0].esp == 100.0
         assert loaded[1].esp_ratio == 1.0
+        assert loaded == recs
+        header = path.read_text().splitlines()[0]
+        assert header.split(",") == [f.name for f in fields(bm.EvaluationRecord)]
+
+    def test_cells_parse_by_declared_type(self, tmp_path):
+        # an int-valued median comes back a float, an empty optional cell None
+        rec = record_with(median=640, esp=None, reduction=None)
+        path = tmp_path / "records.csv"
+        bm.write_records_csv([rec], path)
+        (loaded,) = bm.read_records_csv(path)
+        assert type(loaded.median_shots) is float and loaded.median_shots == 640.0
+        assert type(loaded.n) is int and type(loaded.cap) is int
+        assert loaded.esp is None and loaded.reduction is None

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -94,7 +94,7 @@ class TestTrainEvalReport:
         records = (eval_dir / "records.csv").read_text().strip().splitlines()
         assert len(records) == 1 + 3  # header + three policies
         trials = (eval_dir / "trials.jsonl").read_text().strip().splitlines()
-        assert len(trials) == 3 * load_config(None).eval_trials
+        assert len(trials) == 3 * load_config(None).protocol.eval_trials
 
         report_dir = tmp_path / "report"
         assert run("report", "--records", str(eval_dir), "--out", str(report_dir)) == EXIT_OK
@@ -150,7 +150,7 @@ class TestDeterminism:
                    "--cap", str(cap_path), "--log-steps", "--out", str(out)) == EXIT_OK
         lines = [json.loads(x) for x in (out / "steps.jsonl").read_text().splitlines()]
         per_trial = 10 - 8 + 1  # one record per elimination step plus a summary
-        assert len(lines) == load_config(None).eval_trials * per_trial
+        assert len(lines) == load_config(None).protocol.eval_trials * per_trial
         assert any("summary" in x for x in lines)
 
     def test_report_empty_dir_succeeds(self, tmp_path):
@@ -190,7 +190,7 @@ class TestKnobsTakeEffect:
         ini.write_text("[train]\neta = 2.0\n")
         cfg = load_config(ini)
         assert cfg.train.eta == 2.0
-        assert cfg.driver_config() == DriverConfig()
+        assert cfg.driver == DriverConfig()
 
     def test_train_reads_train_section(self, pipeline, tmp_path):
         _, inst_path, cap_path = pipeline
@@ -248,6 +248,14 @@ class TestKnobsTakeEffect:
         assert outputs[1] == outputs[0]
         assert set(seen_jobs) == {1, 2} and seen_jobs.count(2) == seen_jobs.count(1)
 
+    def test_negative_episode_flag_is_usage_error(self, pipeline, tmp_path, capsys):
+        _, inst_path, cap_path = pipeline
+        out = tmp_path / "policy.json"
+        assert run("train", "--instance", str(inst_path), "--cap", str(cap_path),
+                   "--episodes", "-4", "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: episodes must be non-negative")
+        assert not out.exists()
+
     def test_train_rejects_parallel_jobs(self, pipeline, tmp_path):
         _, inst_path, cap_path = pipeline
         out = tmp_path / "policy.json"
@@ -286,8 +294,10 @@ class TestCheckpointFile:
         edited(lambda d: d.update(format_version=1)),
         lambda d: "not json",
         lambda d: "[1, 2]",
+        edited(lambda d: d["config"].update(validation_trials=0)),
+        edited(lambda d: d["bin_boundaries"].update(dist_bins=0)),
     ], ids=["unknown-config-key", "missing-qtables", "bad-state-key", "old-format", "not-json",
-            "not-an-object"])
+            "not-an-object", "out-of-range-config", "out-of-range-bins"])
     def test_malformed_checkpoint_is_validation_error(self, pipeline, tmp_path, capsys, corrupt):
         _, inst_path, _ = pipeline
         data = PolicyCheckpoint(qtables=QTables(), config=TrainConfig(), bins=BinBoundaries(),
@@ -342,13 +352,14 @@ class TestUsageErrors:
 class TestConfigFile:
     def test_defaults_match_reference_protocol(self):
         cfg = load_config(None)
-        assert cfg.n_c == 8
-        assert cfg.rho_star == 0.99
+        assert cfg.driver.n_c == 8
+        assert cfg.driver.rho_star == 0.99
         assert cfg.train.episodes == 1200
-        assert cfg.cal_trials == 60
-        assert cfg.eval_trials == 60
-        assert cfg.operational_floor == 0.90
-        assert cfg.bins == BinBoundaries()
+        assert cfg.protocol.cal_trials == 60
+        assert cfg.protocol.eval_trials == 60
+        assert cfg.protocol.operational_floor == 0.90
+        assert cfg.protocol.cap_grid == (64, 128, 256, 512, 1024, 2048, 4096)
+        assert cfg.driver.bins == BinBoundaries()
 
     def test_ini_overrides(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -361,14 +372,14 @@ class TestConfigFile:
         )
         cfg = load_config(ini)
         assert cfg.master_seed == 7
-        assert cfg.n_c == 6
-        assert cfg.sampling_mode == "binomial"
-        assert cfg.zgap_variant == "relative_gap"
-        assert cfg.bins.zeta_edges == (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
+        assert cfg.driver.n_c == 6
+        assert cfg.driver.sampling_mode == "binomial"
+        assert cfg.driver.zgap_variant == "relative_gap"
+        assert cfg.driver.bins.zeta_edges == (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
         assert cfg.train.lambda0 == 8.0
         assert cfg.train.episodes == 99
-        assert cfg.cal_trials == 10
-        assert cfg.cap_grid == (64, 128, 256)
+        assert cfg.protocol.cal_trials == 10
+        assert cfg.protocol.cap_grid == (64, 128, 256)
 
     @pytest.mark.parametrize("text", [
         "[benchmark]\neval_trails = 2\n",
@@ -385,6 +396,49 @@ class TestConfigFile:
         assert run("--config", str(ini), "eval", "--instances", str(inst_path),
                    "--policies", "uniform", "--cap", str(cap_path), "--out", str(out)) == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "[sampling]\nk_top = 0\n",
+        "[sampling]\nmode = sampled\n",
+        "[sampling]\nzgap_variant = ratio\n",
+        "[run]\nn_c = -3\n",
+        "[bins]\ndist_bins = 0\n",
+        "[bins]\nkappa_edges = 0.3 0.1\n",
+        "[benchmark]\neval_trials = 0\n",
+        "[benchmark]\nscreen_trials = 0\n",
+        "[benchmark]\ncal_trials = 0\n",
+        "[benchmark]\nscreen_cap = 0\n",
+        "[benchmark]\ncal_resolution = 0\n",
+        "[benchmark]\ncap_grid =\n",
+        "[benchmark]\ncap_grid = 128 64\n",
+        "[train]\nvalidation_trials = 0\n",
+        "[train]\nepisodes = -4\n",
+        "[train]\neps_start = 1.5\n",
+        "[train]\nlambda0 = -1\n",
+    ], ids=["k_top-zero", "unknown-mode", "unknown-zgap-variant", "negative-n_c", "dist_bins-zero",
+            "descending-edges", "eval_trials-zero", "screen_trials-zero", "cal_trials-zero",
+            "screen_cap-zero", "cal_resolution-zero", "empty-cap-grid", "descending-cap-grid",
+            "validation_trials-zero", "negative-episodes", "epsilon-above-one", "negative-lambda0"])
+    def test_out_of_range_value_is_usage_error(self, pipeline, tmp_path, capsys, text):
+        _, inst_path, cap_path = pipeline
+        ini = tmp_path / "range.ini"
+        ini.write_text(text)
+        out = tmp_path / "e"
+        assert run("--config", str(ini), "eval", "--instances", str(inst_path),
+                   "--policies", "uniform", "--cap", str(cap_path), "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("build", [
+        lambda: replace(DriverConfig(), k_top=0),
+        lambda: DriverConfig(sampling_mode="sampled"),
+        lambda: BinBoundaries(dist_bins=0),
+        lambda: replace(TrainConfig.preset("aggressive"), validation_trials=0),
+        lambda: bm.ProtocolConfig(cap_grid=(64, 64)),
+    ], ids=["driver-replace", "driver", "bins", "train-replace", "protocol"])
+    def test_dataclasses_check_their_ranges(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     @pytest.mark.parametrize("text", [
         "[run]\nn_c = 6\nn_c = 7\n",
@@ -418,15 +472,24 @@ class TestConfigFile:
             "eval_trials = 13\noperational_floor = 0.8\n"
         )
         cfg = load_config(ini)
-        assert (cfg.master_seed, cfg.n_c, cfg.rho_star, cfg.jobs) == (7, 6, 0.98, 2)
-        assert (cfg.sampling_mode, cfg.sv_threshold) == ("binomial", 18)
-        assert (cfg.zgap_variant, cfg.k_top) == ("relative_gap", 4)
-        assert cfg.bins == BinBoundaries((1.0, 2.0), (0.2, 0.3), 4)
+        driver, protocol = cfg.driver, cfg.protocol
+
+        def typed(*values):  # 6 == 6.0, so compare the types too
+            return [(type(v), v) for v in values]
+
+        assert typed(cfg.master_seed, driver.n_c, driver.rho_star, cfg.jobs) == typed(7, 6, 0.98, 2)
+        assert typed(driver.sampling_mode, driver.sv_threshold) == typed("binomial", 18)
+        assert typed(driver.zgap_variant, driver.k_top) == typed("relative_gap", 4)
+        assert driver.bins == BinBoundaries((1.0, 2.0), (0.2, 0.3), 4)
+        assert type(driver.bins.dist_bins) is int
         assert cfg.train == TrainConfig(**train)
         assert all(type(getattr(cfg.train, k)) is type(v) for k, v in train.items())
-        assert (cfg.screen_trials, cfg.screen_cap, cfg.hard_threshold) == (11, 96, 0.75)
-        assert (cfg.cal_trials, cfg.cal_target, cfg.cal_resolution) == (12, 0.9, 8)
-        assert (cfg.cap_grid, cfg.eval_trials, cfg.operational_floor) == ((64, 128), 13, 0.8)
+        assert typed(protocol.screen_trials, protocol.screen_cap, protocol.hard_threshold) == typed(
+            11, 96, 0.75)
+        assert typed(protocol.cal_trials, protocol.cal_target, protocol.cal_resolution) == typed(
+            12, 0.9, 8)
+        assert typed(protocol.cap_grid, protocol.eval_trials, protocol.operational_floor) == typed(
+            (64, 128), 13, 0.8)
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
