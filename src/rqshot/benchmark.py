@@ -205,9 +205,6 @@ class CalibrationResult:
     sr_at_cap: float
     probes: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def calibrate_cap(
     inst: Instance,

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmark as bm
 from .config import RunConfig, load_config
+from .driver import check_episode
 from .instance import Instance, generate_instance
 from .learner import CheckpointError, PolicyCheckpoint, TrainConfig, train
 from .qaoa import (
@@ -66,8 +67,11 @@ def cmd_gen(args, cfg: RunConfig) -> int:
 
 
 def cmd_screen(args, cfg: RunConfig) -> int:
-    for path in _instance_paths(args.instances):
-        inst = Instance.load(path)
+    paths = _instance_paths(args.instances)
+    instances = [Instance.load(path) for path in paths]
+    for inst in instances:  # every instance is checked before any is relabelled
+        check_episode(inst, cfg.protocol.screen_cap, cfg.driver)
+    for path, inst in zip(paths, instances):
         label, mean_ratio = bm.hard_screen(
             inst, cfg.driver, cfg.protocol, master_seed=cfg.master_seed, jobs=cfg.jobs
         )
@@ -83,24 +87,25 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
         inst, cfg.driver, cfg.protocol, master_seed=cfg.master_seed, jobs=cfg.jobs
     )
     out = Path(args.out) if args.out else Path(args.instance).with_suffix(".cap.json")
-    _write_json(out, {"instance_id": inst.instance_id, **result.to_dict()})
+    _write_json(out, {"instance_id": inst.instance_id, **asdict(result)})
     flag = " (budget-limited)" if result.budget_limited else ""
     print(f"{inst.instance_id}: cap {result.cap}{flag}, SR at cap {result.sr_at_cap:.3f}")
     return EXIT_OK
 
 
 def _resolve_cap(arg: str, inst: Instance, caps_dir: str | None) -> int:
+    """A cap from --cap (a number or a calibration file) or from --caps-dir."""
     if arg is not None:
-        p = Path(arg)
-        if p.exists():
-            return int(json.loads(p.read_text())["cap"])
-        return int(arg)
-    if caps_dir is not None:
-        p = Path(caps_dir) / f"{inst.instance_id}.cap.json"
-        if not p.exists():
+        path = Path(arg)
+        if not path.exists():
+            return int(arg)
+    elif caps_dir is not None:
+        path = Path(caps_dir) / f"{inst.instance_id}.cap.json"
+        if not path.exists():
             raise FileNotFoundError(f"no calibration file for {inst.instance_id} in {caps_dir}")
-        return int(json.loads(p.read_text())["cap"])
-    raise FileNotFoundError("no cap given: pass --cap or --caps-dir")
+    else:
+        raise FileNotFoundError("no cap given: pass --cap or --caps-dir")
+    return int(json.loads(path.read_text())["cap"])
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
@@ -135,16 +140,22 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         else:
             policies[name] = bm.make_policy(name)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    all_records: list[bm.EvaluationRecord] = []
-    trial_lines: list[str] = []
-    step_lines: list[str] = []
+    # every instance and its cap are checked before anything is written
+    runs = []
     for path in _instance_paths(args.instances):
         inst = Instance.load(path)
         if inst.e_opt is None:
             raise FileNotFoundError(f"{inst.instance_id} has no recorded optimum; run gen/screen")
         cap = _resolve_cap(args.cap, inst, args.caps_dir)
+        check_episode(inst, cap, cfg.driver)
+        runs.append((inst, cap))
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    all_records: list[bm.EvaluationRecord] = []
+    trial_lines: list[str] = []
+    step_lines: list[str] = []
+    for inst, cap in runs:
         records, trials = bm.evaluate_methods(
             inst, policies, cap, cfg.driver, cfg.protocol, master_seed=cfg.master_seed,
             jobs=cfg.jobs,
@@ -406,9 +417,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             if args.command not in MASTER_SEED_COMMANDS:
                 raise ValueError(f"{args.command} reads no master seed; the global --seed does not apply")
-            cfg.master_seed = args.seed
+            cfg = replace(cfg, master_seed=args.seed)
         if args.jobs is not None:
-            cfg.jobs = args.jobs
+            cfg = replace(cfg, jobs=args.jobs)
         return args.func(args, cfg)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

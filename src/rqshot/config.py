@@ -37,6 +37,10 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
 
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+
 
 def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in raw.replace(",", " ").split())

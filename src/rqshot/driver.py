@@ -15,7 +15,7 @@ repeated trials on one instance share them through a StepCache.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Protocol
 
 import numpy as np
@@ -124,36 +124,28 @@ class StepCache:
 
 @dataclass
 class StepLog:
-    """One elimination step, as logged."""
+    """One elimination step, as logged: its fields are the keys of a steps.jsonl record.
+
+    The defaults describe a trivial step, one padded in after early
+    exhaustion: no state, no shots, no edge.  disc is DiscreteState.key().
+    """
 
     step: int
     m: int
-    state: StepState | None
-    disc: DiscreteState | None
-    baseline_index: int
-    residual: int
-    shots: int
-    edge: tuple[int, int] | None
-    sign: int
-    top_two: tuple[float, ...]
+    zeta: float | None = None
+    kappa: float | None = None
+    dist: int | None = None
+    disc: str | None = None
+    baseline_index: int = 0
+    residual: int = 0
+    shots: int = 0
+    edge: tuple[int, int] | None = None
+    sign: int = 1
+    top_two: tuple[float, ...] = ()
     trivial: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "m": self.m,
-            "zeta": None if self.state is None else self.state.zeta,
-            "kappa": None if self.state is None else self.state.kappa,
-            "dist": None if self.state is None else self.state.dist,
-            "disc": None if self.disc is None else self.disc.key(),
-            "baseline_index": self.baseline_index,
-            "residual": self.residual,
-            "shots": self.shots,
-            "edge": None if self.edge is None else list(self.edge),
-            "sign": self.sign,
-            "top_two": list(self.top_two),
-            "trivial": self.trivial,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -169,14 +161,8 @@ class EpisodeResult:
     early_exhausted: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "total_shots": self.total_shots,
-            "e_out": self.e_out,
-            "e_opt": self.e_opt,
-            "sigma": self.sigma,
-            "approx_ratio": self.approx_ratio,
-            "early_exhausted": self.early_exhausted,
-        }
+        """Every field but the steps: the keys of a trials.jsonl record after its head."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "steps"}
 
 
 def select_edge(g: WeightedGraph, est: np.ndarray, order: np.ndarray) -> tuple[int, int, int]:
@@ -201,6 +187,18 @@ def success(e_out: float, e_opt: float, rho_star: float = 0.99) -> int:
     return 1 if e_out / e_opt >= rho_star else 0
 
 
+def check_episode(inst: Instance, cap: int, cfg: DriverConfig) -> int:
+    """Raise ValueError unless an episode can run on inst at cap; return its probe size."""
+    if inst.e_opt is None:
+        raise ValueError(f"{inst.instance_id} has no recorded optimum; screen it first")
+    if inst.n <= cfg.n_c:
+        raise ValueError(f"{inst.instance_id}: size {inst.n} not above classical threshold {cfg.n_c}")
+    k_probe = probe_shot_count(inst.n)
+    if cap < k_probe:
+        raise ValueError(f"{inst.instance_id}: cap {cap} below probe size {k_probe}")
+    return k_probe
+
+
 def run_episode(
     inst: Instance,
     policy: EpisodePolicy,
@@ -210,14 +208,8 @@ def run_episode(
     cache: StepCache | None = None,
 ) -> EpisodeResult:
     """Run one full RQAOA episode and score it against the known optimum."""
-    if inst.e_opt is None:
-        raise ValueError("instance has no recorded optimum; screen it first")
+    k_probe = check_episode(inst, cap, cfg)
     n = inst.n
-    if n <= cfg.n_c:
-        raise ValueError(f"instance size {n} not above classical threshold {cfg.n_c}")
-    k_probe = probe_shot_count(n)
-    if cap < k_probe:
-        raise ValueError(f"cap {cap} below probe size {k_probe}")
     cache = cache if cache is not None else StepCache()
 
     red = ReducedInstance.fresh(inst.graph)
@@ -280,8 +272,10 @@ def run_episode(
             StepLog(
                 step=len(steps) + 1,
                 m=g.node_count,
-                state=state,
-                disc=disc,
+                zeta=state.zeta,
+                kappa=state.kappa,
+                dist=state.dist,
+                disc=disc.key(),
                 baseline_index=decision.baseline_index,
                 residual=decision.residual,
                 shots=k_t,
@@ -293,21 +287,7 @@ def run_episode(
         total_shots += k_t
 
     while len(steps) < n - cfg.n_c:
-        steps.append(
-            StepLog(
-                step=len(steps) + 1,
-                m=red.graph.node_count,
-                state=None,
-                disc=None,
-                baseline_index=0,
-                residual=0,
-                shots=0,
-                edge=None,
-                sign=1,
-                top_two=(),
-                trivial=True,
-            )
-        )
+        steps.append(StepLog(step=len(steps) + 1, m=red.graph.node_count, trivial=True))
 
     _, residual_assignment = brute_force_optimum(red.graph)
     full = reconstruct_assignment(red.stack, residual_assignment)

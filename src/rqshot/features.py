@@ -77,7 +77,9 @@ class BinBoundaries:
         if self.dist_bins < 1:
             raise ValueError(f"dist_bins must be at least 1, got {self.dist_bins}")
         for name in ("zeta_edges", "kappa_edges"):
-            edges = getattr(self, name)
+            # edges read from JSON arrive as lists; as tuples they equal the configured ones
+            edges = tuple(getattr(self, name))
+            object.__setattr__(self, name, edges)
             if list(edges) != sorted(edges):
                 raise ValueError(f"{name} must be in ascending order, got {edges}")
 
@@ -88,21 +90,6 @@ class BinBoundaries:
     @property
     def kappa_bins(self) -> int:
         return len(self.kappa_edges) + 1
-
-    def to_dict(self) -> dict:
-        return {
-            "zeta_edges": list(self.zeta_edges),
-            "kappa_edges": list(self.kappa_edges),
-            "dist_bins": self.dist_bins,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BinBoundaries":
-        return cls(
-            zeta_edges=tuple(data["zeta_edges"]),
-            kappa_edges=tuple(data["kappa_edges"]),
-            dist_bins=int(data["dist_bins"]),
-        )
 
 
 def probe_shot_count(n: int) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -356,29 +356,18 @@ class Instance:
         return f"n{self.n:02d}d{self.d:02d}s{self.seed}"
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "seed": self.seed,
-            "weight_dist": self.weight_dist,
-            "edges": [[u, v, j] for (u, v), j in self.graph.edges().items()],
-            "e_opt": self.e_opt,
-            "category": self.category,
-        }
+        """The instance file: the fields by name, the graph as its [u, v, J] edge list."""
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "graph"}
+        return {**data, "edges": [[u, v, j] for (u, v), j in self.graph.edges().items()]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Instance":
-        edges = {(int(u), int(v)): float(j) for u, v, j in data["edges"]}
-        graph = WeightedGraph(range(int(data["n"])), edges)
-        return cls(
-            graph=graph,
-            n=int(data["n"]),
-            d=int(data["d"]),
-            seed=int(data["seed"]),
-            weight_dist=data.get("weight_dist", "normal(0,1)"),
-            e_opt=None if data.get("e_opt") is None else float(data["e_opt"]),
-            category=data.get("category", "unscreened"),
-        )
+        data = dict(data)
+        edges = {(int(u), int(v)): float(j) for u, v, j in data.pop("edges")}
+        try:
+            return cls(graph=WeightedGraph(range(data["n"]), edges), **data)
+        except TypeError as exc:  # a missing or unknown key
+            raise ValueError(f"malformed instance: {exc}") from None
 
     def save(self, path: Path | str) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")

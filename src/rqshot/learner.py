@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .allocation import ACTIONS, N_ACTIONS, RLPolicy, compose, greedy_action, heuristic_index
 from .benchmark import TrialSummary
-from .driver import DriverConfig, StepCache, run_episode
-from .features import BinBoundaries, DiscreteState, probe_shot_count
+from .driver import DriverConfig, StepCache, check_episode, run_episode
+from .features import BinBoundaries, DiscreteState
 from .instance import Instance
 from .seeding import make_rng
 
@@ -145,31 +145,15 @@ class TrainConfig:
             raise ValueError(f"validation_trials must be at least 1, got {self.validation_trials}")
 
     @classmethod
-    def aggressive(cls) -> "TrainConfig":
-        """Stress-test preset: stronger penalties, shorter warm-up, more episodes."""
-        return cls(
-            lambda0=8.0,
-            lambda_max=150.0,
-            mu_lambda=2.0,
-            warmup=50,
-            extra_fail_penalty=5.0,
-            episodes=2400,
-        )
-
-    @classmethod
     def preset(cls, name: str) -> "TrainConfig":
+        """A named preset: "standard" (the defaults) or "aggressive", the stress
+        test with stronger penalties, a shorter warm-up and more episodes."""
         if name == "standard":
             return cls()
         if name == "aggressive":
-            return cls.aggressive()
+            return cls(lambda0=8.0, lambda_max=150.0, mu_lambda=2.0, warmup=50,
+                       extra_fail_penalty=5.0, episodes=2400)
         raise ValueError(f"unknown preset {name!r}")
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**data)
 
 
 class LagrangianController:
@@ -202,7 +186,7 @@ class PolicyCheckpoint:
 
     qtables: QTables
     config: TrainConfig
-    bins: BinBoundaries
+    bin_boundaries: BinBoundaries
     n: int
     n_c: int
     instance_id: str
@@ -216,23 +200,13 @@ class PolicyCheckpoint:
         return RLPolicy(self.qtables.q1, self.qtables.q2)
 
     def to_dict(self) -> dict:
-        def table_json(t: dict) -> dict:
-            return {":".join(str(x) for x in k): list(v) for k, v in sorted(t.items())}
-
-        return {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "qtables": {"q1": table_json(self.qtables.q1), "q2": table_json(self.qtables.q2)},
-            "config": self.config.to_dict(),
-            "bin_boundaries": self.bins.to_dict(),
-            "n": self.n,
-            "n_c": self.n_c,
-            "instance_id": self.instance_id,
-            "validation_sr": self.validation_sr,
-            "validation_median_shots": self.validation_median_shots,
-            "validation_mean_shots": self.validation_mean_shots,
-            "lambda_trace": self.lambda_trace,
-            "validation_history": self.validation_history,
+        """The checkpoint file: format_version, then the fields by name, Q-table keys encoded."""
+        data = asdict(self)
+        data["qtables"] = {
+            name: {DiscreteState(*k).key(): v for k, v in sorted(table.items())}
+            for name, table in data["qtables"].items()
         }
+        return {"format_version": CHECKPOINT_FORMAT_VERSION, **data}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolicyCheckpoint":
@@ -245,21 +219,14 @@ class PolicyCheckpoint:
         def table_load(t: dict) -> dict:
             return {tuple(int(x) for x in k.split(":")): list(map(float, v)) for k, v in t.items()}
 
+        rest = {k: v for k, v in data.items() if k != "format_version"}
         try:
+            tables = rest.pop("qtables")
             return cls(
-                qtables=QTables(
-                    q1=table_load(data["qtables"]["q1"]), q2=table_load(data["qtables"]["q2"])
-                ),
-                config=TrainConfig.from_dict(data["config"]),
-                bins=BinBoundaries.from_dict(data["bin_boundaries"]),
-                n=int(data["n"]),
-                n_c=int(data["n_c"]),
-                instance_id=data["instance_id"],
-                validation_sr=data.get("validation_sr"),
-                validation_median_shots=data.get("validation_median_shots"),
-                validation_mean_shots=data.get("validation_mean_shots"),
-                lambda_trace=list(data.get("lambda_trace", [])),
-                validation_history=list(data.get("validation_history", [])),
+                qtables=QTables(q1=table_load(tables["q1"]), q2=table_load(tables["q2"])),
+                config=TrainConfig(**rest.pop("config")),
+                bin_boundaries=BinBoundaries(**rest.pop("bin_boundaries")),
+                **rest,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
@@ -274,7 +241,7 @@ class PolicyCheckpoint:
         except ValueError as exc:  # not JSON, or not text
             raise CheckpointError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
         ckpt = cls.from_dict(data)
-        if expected_bins is not None and ckpt.bins != expected_bins:
+        if expected_bins is not None and ckpt.bin_boundaries != expected_bins:
             raise CheckpointError(
                 "checkpoint was trained under different bin boundaries; "
                 "its greedy policy is not valid under this configuration"
@@ -355,10 +322,7 @@ def train(
     lower median then lower mean total shots.
     """
     driver_cfg = driver_cfg or DriverConfig()
-    if inst.e_opt is None:
-        raise ValueError("training instance needs a recorded optimum")
-    if cap < probe_shot_count(inst.n):
-        raise ValueError(f"cap {cap} below probe size for n={inst.n}")
+    check_episode(inst, cap, driver_cfg)
 
     tables = QTables()
     controller = LagrangianController(config)
@@ -393,7 +357,7 @@ def train(
     return PolicyCheckpoint(
         qtables=final_tables,
         config=config,
-        bins=driver_cfg.bins,
+        bin_boundaries=driver_cfg.bins,
         n=inst.n,
         n_c=driver_cfg.n_c,
         instance_id=inst.instance_id,

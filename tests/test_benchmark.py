@@ -123,10 +123,10 @@ class TestCalibration:
         screens = [bm.hard_screen(inst, DriverConfig(), protocol, master_seed=4, jobs=jobs)
                    for jobs in (1, 2)]
         assert screens[1] == screens[0]
-        cals = [bm.calibrate_cap(inst, DriverConfig(), protocol, master_seed=4,
-                                 jobs=jobs).to_dict() for jobs in (1, 2)]
+        cals = [bm.calibrate_cap(inst, DriverConfig(), protocol, master_seed=4, jobs=jobs)
+                for jobs in (1, 2)]
         assert cals[1] == cals[0]
-        assert len(cals[0]["probes"]) > 2
+        assert len(cals[0].probes) > 2
 
     def test_probes_recorded(self):
         inst = generate_instance(10, 4, seed=3)

@@ -263,6 +263,39 @@ class TestKnobsTakeEffect:
                    "--episodes", "2", "--out", str(out)) == EXIT_USAGE
         assert not out.exists()
 
+    def test_screen_checks_every_instance_before_saving(self, tmp_path):
+        # the n = 18 instance probes 32 shots, above the cap; the n = 10 one must stay unscreened
+        inst_dir = tmp_path / "inst"
+        for n in ("10", "18"):
+            assert run("gen", "-n", n, "-d", "3", "--out", str(inst_dir)) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in inst_dir.glob("*.json")}
+        ini = tmp_path / "run.ini"
+        ini.write_text("[benchmark]\nscreen_trials = 2\nscreen_cap = 16\n")
+        assert run("--config", str(ini), "screen", "--instances", str(inst_dir)) == EXIT_USAGE
+        assert {p.name: p.read_bytes() for p in inst_dir.glob("*.json")} == before
+
+    @pytest.mark.parametrize("case", ["cap-below-probe", "missing-cap-file", "no-optimum"])
+    def test_eval_checks_every_instance_before_writing(self, pipeline, tmp_path, case):
+        _, inst_path, cap_path = pipeline
+        inst_dir = tmp_path / "inst"
+        inst_dir.mkdir()
+        (inst_dir / inst_path.name).write_bytes(inst_path.read_bytes())
+        caps = tmp_path / "caps"
+        caps.mkdir()
+        (caps / cap_path.name).write_bytes(cap_path.read_bytes())
+        second = json.loads(inst_path.read_text())
+        second["seed"] = 99
+        cap_flags, expected = ("--caps-dir", str(caps)), EXIT_MISSING
+        if case == "cap-below-probe":
+            cap_flags, expected = ("--cap", "8"), EXIT_USAGE
+        elif case == "no-optimum":
+            cap_flags, second["e_opt"] = ("--cap", "64"), None
+        (inst_dir / "n10d04s99.json").write_text(json.dumps(second))
+        out = tmp_path / "e"
+        assert run("eval", "--instances", str(inst_dir), "--policies", "uniform", *cap_flags,
+                   "--out", str(out)) == expected
+        assert not out.exists()
+
     def test_parallel_eval_logs_match_serial(self, pipeline, tmp_path):
         _, inst_path, cap_path = pipeline
         ini = tmp_path / "run.ini"
@@ -296,12 +329,16 @@ class TestCheckpointFile:
         lambda d: "[1, 2]",
         edited(lambda d: d["config"].update(validation_trials=0)),
         edited(lambda d: d["bin_boundaries"].update(dist_bins=0)),
+        edited(lambda d: d.update(bogus=1)),
+        edited(lambda d: d.pop("n_c")),
     ], ids=["unknown-config-key", "missing-qtables", "bad-state-key", "old-format", "not-json",
-            "not-an-object", "out-of-range-config", "out-of-range-bins"])
+            "not-an-object", "out-of-range-config", "out-of-range-bins", "unknown-key",
+            "missing-key"])
     def test_malformed_checkpoint_is_validation_error(self, pipeline, tmp_path, capsys, corrupt):
         _, inst_path, _ = pipeline
-        data = PolicyCheckpoint(qtables=QTables(), config=TrainConfig(), bins=BinBoundaries(),
-                                n=10, n_c=8, instance_id="n10d04s3").to_dict()
+        data = PolicyCheckpoint(qtables=QTables(), config=TrainConfig(),
+                                bin_boundaries=BinBoundaries(), n=10, n_c=8,
+                                instance_id="n10d04s3").to_dict()
         ckpt = tmp_path / "policy.json"
         ckpt.write_text(corrupt(data))
         out = tmp_path / "e"
@@ -309,6 +346,56 @@ class TestCheckpointFile:
                    str(ckpt), "--cap", "64", "--out", str(out)) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestFileSchemas:
+    def test_keys_of_every_output_file(self, pipeline, tmp_path):
+        # the keys follow from dataclass fields; a renamed field must fail here, not change a file
+        _, inst_path, cap_path = pipeline
+        ini = tmp_path / "run.ini"
+        ini.write_text("[train]\nvalidation_every = 4\nvalidation_trials = 2\n\n"
+                       "[benchmark]\neval_trials = 2\n")
+        ckpt_path, out = tmp_path / "policy.json", tmp_path / "eval"
+        assert run("--config", str(ini), "train", "--instance", str(inst_path), "--cap",
+                   str(cap_path), "--episodes", "4", "--out", str(ckpt_path)) == EXIT_OK
+        assert run("--config", str(ini), "eval", "--instances", str(inst_path), "--policies",
+                   "uniform,rl", "--checkpoint", str(ckpt_path), "--cap", str(cap_path),
+                   "--log-steps", "--out", str(out)) == EXIT_OK
+
+        inst = json.loads(inst_path.read_text())
+        assert set(inst) == {"n", "d", "seed", "weight_dist", "edges", "e_opt", "category"}
+        cap = json.loads(cap_path.read_text())
+        assert set(cap) == {"instance_id", "cap", "budget_limited", "sr_at_cap", "probes"}
+        assert all(set(p) == {"cap", "sr"} for p in cap["probes"])
+
+        ckpt = json.loads(ckpt_path.read_text())
+        assert set(ckpt) == {
+            "format_version", "qtables", "config", "bin_boundaries", "n", "n_c", "instance_id",
+            "validation_sr", "validation_median_shots", "validation_mean_shots", "lambda_trace",
+            "validation_history"}
+        assert ckpt["format_version"] == 2
+        assert set(ckpt["qtables"]) == {"q1", "q2"}
+        assert set(ckpt["config"]) == {
+            "alpha", "discount", "eps_start", "eps_min", "eps_decay", "episodes", "lambda0",
+            "mu_lambda", "lambda_max", "ema_beta", "warmup", "p_star", "eta",
+            "extra_fail_penalty", "validation_every", "validation_trials"}
+        assert set(ckpt["bin_boundaries"]) == {"zeta_edges", "kappa_edges", "dist_bins"}
+        assert [set(v) for v in ckpt["validation_history"]] == [
+            {"episode", "sr", "median_shots", "mean_shots"}]
+
+        head = {"instance_id", "policy", "trial", "cap"}
+        episode = {"total_shots", "e_out", "e_opt", "sigma", "approx_ratio", "early_exhausted"}
+        trials = [json.loads(x) for x in (out / "trials.jsonl").read_text().splitlines()]
+        assert len(trials) == 4 and all(set(t) == head | episode for t in trials)
+        lines = [json.loads(x) for x in (out / "steps.jsonl").read_text().splitlines()]
+        steps = [x for x in lines if "summary" not in x]
+        summaries = [x for x in lines if "summary" in x]
+        assert len(steps) == 4 * (10 - 8) and len(summaries) == 4
+        assert all(set(s) == head | {
+            "step", "m", "zeta", "kappa", "dist", "disc", "baseline_index", "residual", "shots",
+            "edge", "sign", "top_two", "trivial"} for s in steps)
+        assert all(set(s) == head | {"summary"} and set(s["summary"]) == episode
+                   for s in summaries)
 
 
 class TestOracleCheckCommand:
@@ -397,7 +484,7 @@ class TestConfigFile:
                    "--policies", "uniform", "--cap", str(cap_path), "--out", str(out)) == EXIT_USAGE
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", [
+    @pytest.mark.parametrize("text, flags", [(text, ()) for text in [
         "[sampling]\nk_top = 0\n",
         "[sampling]\nmode = sampled\n",
         "[sampling]\nzgap_variant = ratio\n",
@@ -415,16 +502,20 @@ class TestConfigFile:
         "[train]\nepisodes = -4\n",
         "[train]\neps_start = 1.5\n",
         "[train]\nlambda0 = -1\n",
-    ], ids=["k_top-zero", "unknown-mode", "unknown-zgap-variant", "negative-n_c", "dist_bins-zero",
-            "descending-edges", "eval_trials-zero", "screen_trials-zero", "cal_trials-zero",
-            "screen_cap-zero", "cal_resolution-zero", "empty-cap-grid", "descending-cap-grid",
-            "validation_trials-zero", "negative-episodes", "epsilon-above-one", "negative-lambda0"])
-    def test_out_of_range_value_is_usage_error(self, pipeline, tmp_path, capsys, text):
+        "[run]\njobs = 0\n",
+        "[run]\njobs = -3\n",
+    ]] + [("", ("--jobs", "0"))],
+        ids=["k_top-zero", "unknown-mode", "unknown-zgap-variant", "negative-n_c", "dist_bins-zero",
+             "descending-edges", "eval_trials-zero", "screen_trials-zero", "cal_trials-zero",
+             "screen_cap-zero", "cal_resolution-zero", "empty-cap-grid", "descending-cap-grid",
+             "validation_trials-zero", "negative-episodes", "epsilon-above-one", "negative-lambda0",
+             "jobs-zero", "negative-jobs", "jobs-flag-zero"])
+    def test_out_of_range_value_is_usage_error(self, pipeline, tmp_path, capsys, text, flags):
         _, inst_path, cap_path = pipeline
         ini = tmp_path / "range.ini"
         ini.write_text(text)
         out = tmp_path / "e"
-        assert run("--config", str(ini), "eval", "--instances", str(inst_path),
+        assert run("--config", str(ini), *flags, "eval", "--instances", str(inst_path),
                    "--policies", "uniform", "--cap", str(cap_path), "--out", str(out)) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()

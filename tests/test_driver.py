@@ -126,6 +126,11 @@ class TestRunEpisode:
         assert res.early_exhausted
         assert [s.trivial for s in res.steps] == [False, True, True]
         assert all(s.shots == 0 for s in res.steps if s.trivial)
+        assert json.loads(json.dumps(res.steps[1].to_dict())) == {
+            "step": 2, "m": 3, "zeta": None, "kappa": None, "dist": None, "disc": None,
+            "baseline_index": 0, "residual": 0, "shots": 0, "edge": None, "sign": 1,
+            "top_two": [], "trivial": True,
+        }
         assert res.e_out == pytest.approx(1.0)
         assert res.sigma == 1
 

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,7 +189,7 @@ class TestDiscretize:
 
     def test_boundaries_round_trip(self):
         bins = BinBoundaries()
-        assert BinBoundaries.from_dict(bins.to_dict()) == bins
+        assert BinBoundaries(**json.loads(json.dumps(asdict(bins)))) == bins
 
 
 class TestExtractState:

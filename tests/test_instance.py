@@ -421,6 +421,16 @@ class TestInstanceIO:
         assert data["edges"] == sorted(data["edges"])
         assert data["e_opt"] > 0
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(bogus=1),
+        lambda d: d.pop("d"),
+    ], ids=["unknown-key", "missing-key"])
+    def test_malformed_file_rejected(self, edit):
+        data = generate_instance(6, 3, seed=2).to_dict()
+        edit(data)
+        with pytest.raises(ValueError, match="malformed instance"):
+            Instance.from_dict(data)
+
     def test_reweighted_same_topology_new_weights(self):
         base = generate_instance(10, 4, seed=5)
         var = reweighted_instance(base, seed=1)

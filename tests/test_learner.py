@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -184,7 +187,7 @@ class TestTrainConfig:
         assert (c.eps_start, c.eps_min, c.eps_decay) == (1.0, 0.02, 0.995)
 
     def test_aggressive_overrides(self):
-        c = TrainConfig.aggressive()
+        c = TrainConfig.preset("aggressive")
         assert (c.lambda0, c.lambda_max, c.mu_lambda) == (8.0, 150.0, 2.0)
         assert (c.warmup, c.extra_fail_penalty, c.episodes) == (50, 5.0, 2400)
         # everything else stays at the standard values
@@ -198,8 +201,8 @@ class TestTrainConfig:
         assert eps == 0.02
 
     def test_round_trip(self):
-        c = TrainConfig.aggressive()
-        assert TrainConfig.from_dict(c.to_dict()) == c
+        c = TrainConfig.preset("aggressive")
+        assert TrainConfig(**json.loads(json.dumps(asdict(c)))) == c
 
 
 class TestCheckpoint:
@@ -208,7 +211,7 @@ class TestCheckpoint:
         t.row(1, (0, 1, 2, 3))[2] = -0.75
         t.row(2, (1, 6, 0, 4))[0] = 0.5
         return PolicyCheckpoint(
-            qtables=t, config=TrainConfig(), bins=BinBoundaries(), n=14, n_c=8,
+            qtables=t, config=TrainConfig(), bin_boundaries=BinBoundaries(), n=14, n_c=8,
             instance_id="n14d08s1", validation_sr=0.95, lambda_trace=[2.0, 2.1],
         )
 
