@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -104,6 +103,8 @@ def run_trials(
             run_episode(inst, policy, cap, cfg, make_rng(*seed_parts, t), cache=cache)
             for t in range(n_trials)
         ]
+    from concurrent.futures import ProcessPoolExecutor  # the serial path needs no multiprocessing
+
     chunks = [c.tolist() for c in np.array_split(np.arange(n_trials), jobs) if len(c)]
     payloads = [(inst.to_dict(), policy, cap, cfg, seed_parts, chunk) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

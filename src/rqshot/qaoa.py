@@ -19,19 +19,23 @@ all-vertex form of Ozaeta, van Dam & McMahon, arXiv:2012.03421).  Summed
 with the couplings, the energy is A(gamma) sin 4beta + B(gamma) sin^2 2beta,
 whose minimum over beta is B/2 - sqrt(A^2 + B^2/4) in closed form (Wang,
 Hadfield, Jiang & Rieffel, arXiv:1706.02998), so the angle search is a
-one-dimensional search over gamma.  The expression is validated against the
-statevector simulator in the test suite; the simulator, not the formula, is
-the ground truth.  H has no fields, so the state is invariant under the
-global spin flip X^(x)n, the Z2 symmetry RQAOA is built on (Bravyi,
-Kliesch, Koenig & Tang, arXiv:1910.08980), and every ZZ product and every
-disagreement count is too.  The simulator therefore prepares only the
-2^(n-1) amplitudes with the top qubit at 0.  It builds the phased state
-2^(-n/2) exp(-i gamma C(z)) as complex amplitudes by doubling over qubits,
-about 2^n complex multiplies and no trigonometry over the 2^(n-1) entries,
-applies the mixer of the lower qubits five at a time, one matmul by the
-32 x 32 factor exp(-i beta X)^(x)5 per block of qubits (fused gates, as in
-Haener & Steiger, arXiv:1704.01127), and the top qubit's mixer as a
-reversal of the half.  Shots are drawn from the half's cumulative
+one-dimensional search over gamma: a grid scan refined by Brent's bounded
+golden-section and parabolic search (_bounded_minimum; R. P. Brent,
+Algorithms for Minimization without Derivatives, 1973, ch. 5), written in
+the operation order of SciPy's minimize_scalar(method="bounded"), whose
+result it reproduces bit for bit without importing SciPy.  The expression is
+validated against the statevector simulator in the test suite; the
+simulator, not the formula, is the ground truth.  H has no fields, so the
+state is invariant under the global spin flip X^(x)n, the Z2 symmetry RQAOA
+is built on (Bravyi, Kliesch, Koenig & Tang, arXiv:1910.08980), and every ZZ
+product and every disagreement count is too.  The simulator therefore
+prepares only the 2^(n-1) amplitudes with the top qubit at 0.  It builds the
+phased state 2^(-n/2) exp(-i gamma C(z)) as complex amplitudes by doubling
+over qubits, about 2^n complex multiplies and no trigonometry over the
+2^(n-1) entries, applies the mixer of the lower qubits five at a time, one
+matmul by the 32 x 32 factor exp(-i beta X)^(x)5 per block of qubits (fused
+gates, as in Haener & Steiger, arXiv:1704.01127), and the top qubit's mixer
+as a reversal of the half.  Shots are drawn from the half's cumulative
 distribution, each draw from the flipped half folded onto its mirror image.
 
 Qubits and edges are indexed as WeightedGraph.edge_index() gives them, and
@@ -45,10 +49,10 @@ statevector or from per-edge binomial draws.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .instance import WeightedGraph
 
@@ -124,18 +128,94 @@ def _beta_minimum(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.
     return energy, beta
 
 
+def _bounded_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Minimize f over [a, b] by Brent's golden-section search with parabolic steps.
+
+    R. P. Brent, Algorithms for Minimization without Derivatives (1973),
+    ch. 5, in the operation order of SciPy's _minimize_scalar_bounded
+    (scipy/optimize/_optimize.py): the same constants, tolerance updates,
+    step-sign rule and 500-evaluation limit, so that every iterate and the
+    returned (x, f(x)) equal those of ``minimize_scalar(f, bounds=(a, b),
+    method="bounded", options={"xatol": xatol})`` bit for bit.  x is the
+    best point, w the second best and v the previous w; a NaN from f is
+    never an improvement, so it is returned only if f(x) of the first,
+    golden-section point was NaN.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    v = w = x = a + golden_mean * (b - a)
+    fv = fw = fx = f(x)
+    d = e = 0.0
+    calls = 1
+    mid = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(x) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - mid) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through x, w and v
+            golden = False
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = d
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - x) and p < q * (b - x):
+                d = (p + 0.0) / q
+                u = x + d
+                if (u - a) < tol2 or (b - u) < tol2:
+                    d = tol1 * (np.sign(mid - x) + ((mid - x) == 0))
+            else:
+                golden = True
+        if golden:
+            e = a - x if x >= mid else b - x
+            d = golden_mean * e
+        u = x + (np.sign(d) + (d == 0)) * max(abs(d), tol1)
+        fu = f(u)
+        calls += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv = w, fw
+            w, fw = x, fx
+            x, fx = u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv = w, fw
+                w, fw = u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        mid = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if calls >= 500:
+            break
+    return float(x), float(fx)
+
+
 def optimize_angles(g: WeightedGraph) -> Angles:
     """Minimize the depth-1 energy: beta in closed form, gamma by a 1-D search.
 
     With A(gamma) = sum_e J_e a_e and B(gamma) = sum_e J_e b_e, the minimum
     of the energy over beta is B/2 - sqrt(A^2 + B^2/4) (see _beta_minimum).
     That envelope is scanned on ANGLE_GRID_POINTS values of gamma in
-    [0, 2pi), and the best one is refined by a bounded scalar search within
-    one grid step either side.  The grid winner is kept if refinement fails
-    to improve on it, so the returned energy never exceeds the best grid
-    energy, and no beta grid can do better at the same gamma.  beta lies in
-    [0, pi/2), the period of the state up to a global phase.  Deterministic:
-    no randomness anywhere.
+    [0, 2pi), and the best one is refined within one grid step either side
+    by _bounded_minimum, Brent's bounded search as SciPy's
+    minimize_scalar(method="bounded") runs it, with xatol 1e-10.  The grid
+    winner is kept if refinement fails to improve on it (a NaN included),
+    so the returned energy never exceeds the best grid energy, and no beta
+    grid can do better at the same gamma.  beta lies in [0, pi/2), the
+    period of the state up to a global phase.  Deterministic: no randomness
+    anywhere.
     """
     if g.edge_count == 0:
         raise ValueError("cannot optimize angles on an edgeless graph")
@@ -150,14 +230,14 @@ def optimize_angles(g: WeightedGraph) -> Angles:
     surface, _ = best_over_beta(gammas)
     gi = int(np.argmin(surface))
     gamma = float(gammas[gi])
-    result = optimize.minimize_scalar(
+    x, fx = _bounded_minimum(
         lambda x: float(best_over_beta(np.array([x]))[0][0]),
-        bounds=(max(0.0, gamma - step), min(2 * np.pi, gamma + step)),
-        method="bounded",
-        options={"xatol": 1e-10},
+        max(0.0, gamma - step),
+        min(2 * np.pi, gamma + step),
+        xatol=1e-10,
     )
-    if result.fun <= surface[gi]:
-        gamma = float(result.x)
+    if fx <= surface[gi]:
+        gamma = x
     _, beta = best_over_beta(np.array([gamma]))
     return Angles(gamma=gamma, beta=float(beta[0]))
 

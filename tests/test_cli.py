@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rqshot
 from rqshot import benchmark as bm
 from rqshot.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 from rqshot.config import load_config
@@ -30,6 +34,22 @@ def pipeline(tmp_path_factory):
     cap_path = root / "caps" / f"{inst_path.stem}.cap.json"
     assert run("calibrate", "--instance", str(inst_path), "--out", str(cap_path)) == EXIT_OK
     return root, inst_path, cap_path
+
+
+def test_import_loads_neither_scipy_nor_process_pool():
+    """The package runs without SciPy, and only a parallel run starts multiprocessing.
+
+    In a fresh interpreter, since the test modules import SciPy themselves.
+    """
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import rqshot, rqshot.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+    )
+    src = str(Path(rqshot.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe, src],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 class TestGen:
@@ -289,7 +309,7 @@ class TestKnobsTakeEffect:
         if case == "cap-below-probe":
             cap_flags, expected = ("--cap", "8"), EXIT_USAGE
         elif case == "no-optimum":
-            cap_flags, second["e_opt"] = ("--cap", "64"), None
+            cap_flags, expected, second["e_opt"] = ("--cap", "64"), EXIT_USAGE, None
         (inst_dir / "n10d04s99.json").write_text(json.dumps(second))
         out = tmp_path / "e"
         assert run("eval", "--instances", str(inst_dir), "--policies", "uniform", *cap_flags,

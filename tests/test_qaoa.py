@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg, optimize, stats
 
+from rqshot import qaoa
 from rqshot.driver import select_edge
 from rqshot.features import edge_order
 from rqshot.instance import (
@@ -12,6 +13,7 @@ from rqshot.instance import (
     generate_regular_gaussian,
 )
 from rqshot.qaoa import (
+    ANGLE_GRID_POINTS,
     MODE_BINOMIAL,
     MODE_EXACT,
     MODE_STATEVECTOR,
@@ -20,6 +22,7 @@ from rqshot.qaoa import (
     CorrelationSampler,
     ShotPool,
     _beta_minimum,
+    _bounded_minimum,
     _EdgeTerms,
     _mixer_factors,
     _phase_state,
@@ -371,6 +374,84 @@ def reduced_graphs(count, rng):
             u, v = edges[int(rng.integers(len(edges)))]
             red = contract(red, ContractionRecord(max(u, v), min(u, v), int(rng.choice([-1, 1]))))
     return graphs[:count]
+
+
+def gamma_envelope(g):
+    """The objective optimize_angles searches: for each gamma, the energy minimised over beta."""
+    terms = _EdgeTerms(g)
+
+    def envelope(gammas):
+        av, bv = terms.ab(gammas)
+        return _beta_minimum(av @ terms.j, bv @ terms.j)[0]
+
+    return envelope
+
+
+def refinement_brackets(surface):
+    """Brackets as optimize_angles draws them around grid points, plus one ending at 2 pi.
+
+    The grid's winner, its first point (clipped at 0) and its last point,
+    whose upper end falls one ulp short of 2 pi, so a bracket clipped at
+    2 pi is added by hand.
+    """
+    step = 2 * np.pi / ANGLE_GRID_POINTS
+    grid = np.linspace(0.0, 2 * np.pi, ANGLE_GRID_POINTS, endpoint=False)
+    points = {0, int(np.argmin(surface)), ANGLE_GRID_POINTS - 1}
+    brackets = [(max(0.0, float(grid[i]) - step), min(2 * np.pi, float(grid[i]) + step))
+                for i in sorted(points)]
+    return brackets + [(2 * np.pi - step, 2 * np.pi)]
+
+
+def bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestBoundedMinimum:
+    """The private Brent search against SciPy's bounded minimize_scalar, the reference."""
+
+    @staticmethod
+    def scipy_minimum(f, lo, hi):
+        result = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                          options={"xatol": 1e-10})
+        return result.x, result.fun
+
+    def test_equals_scipy_bit_for_bit_on_reduced_graphs(self):
+        graphs = reduced_graphs(200, np.random.default_rng(2282))
+        assert len({g.signature() for g in graphs}) >= 150
+        grid = np.linspace(0.0, 2 * np.pi, ANGLE_GRID_POINTS, endpoint=False)
+        for g in graphs:
+            envelope = gamma_envelope(g)
+
+            def f(x):
+                return float(envelope(np.array([x]))[0])
+
+            brackets = refinement_brackets(envelope(grid))
+            assert brackets[0][0] == 0.0 and brackets[-1][1] == 2 * np.pi
+            for lo, hi in brackets:
+                ours = _bounded_minimum(f, lo, hi, xatol=1e-10)
+                assert bits(*ours) == bits(*self.scipy_minimum(f, lo, hi))
+                assert lo <= ours[0] <= hi
+
+    @pytest.mark.parametrize("nan_above", [-np.inf, 0.6])
+    def test_nan_objective_equals_scipy(self, nan_above):
+        def f(x):
+            return np.nan if x > nan_above else (x - 0.5) ** 2
+
+        ours = _bounded_minimum(f, 0.0, 1.0, xatol=1e-10)
+        assert bits(*ours) == bits(*self.scipy_minimum(f, 0.0, 1.0))
+
+    def test_nan_refinement_keeps_grid_gamma(self, monkeypatch):
+        search = qaoa._bounded_minimum
+
+        def nan_search(f, a, b, xatol):
+            x, fx = search(lambda _: np.nan, a, b, xatol)
+            assert np.isnan(fx)
+            return x, fx
+
+        monkeypatch.setattr(qaoa, "_bounded_minimum", nan_search)
+        g = generate_regular_gaussian(10, 3, seed=11)
+        grid = np.linspace(0.0, 2 * np.pi, ANGLE_GRID_POINTS, endpoint=False)
+        assert optimize_angles(g).gamma == grid[np.argmin(gamma_envelope(g)(grid))]
 
 
 class TestOptimizeAngles:
