@@ -8,8 +8,8 @@ k_probe of them.  The strongest edge is contracted and the loop repeats
 until the classical threshold, where the residual is brute-forced and the
 full assignment reconstructed.
 
-Angles and prepared-state probabilities depend only on the reduced graph, so
-repeated trials on one instance share them through a StepCache.
+Trials on one instance revisit the same reduced graphs, so an episode walks
+down a StepCache's nodes, one per reduced graph, and reuses what they hold.
 """
 
 from __future__ import annotations
@@ -88,23 +88,57 @@ class EpisodePolicy(Protocol):
     ) -> AllocationDecision: ...
 
 
-class StepCache:
-    """Per-instance cache of angle optima and prepared-state data.
+@dataclass(eq=False, slots=True)
+class _Node:
+    """A reduced graph and what steps computed on it; children by (edge position, sign)."""
 
-    Keys are graph signatures; an episode's reduced graphs recur across
-    trials of the same instance, so this removes nearly all redundant angle
-    searches and statevector builds.  Cumulative probability vectors are
-    the big entries, 2^(n-1) floats each (the half of the flip-symmetric
-    state, see qaoa.statevector_depth1), and live in an LRU bounded at
-    about 2^24 floats in all; angles and exact correlation values are tiny
-    and kept unbounded.
+    graph: WeightedGraph
+    key: tuple
+    angles: Angles | None = None
+    exact: np.ndarray | None = None
+    residual: dict[int, int] | None = None
+    children: dict[tuple[int, int], _Node] = field(default_factory=dict)
+
+
+class StepCache:
+    """Per-instance graph of nodes, one per reduced graph its episodes reach.
+
+    A node holds its WeightedGraph and signature, angles, exact correlation
+    values, residual assignment (brute-forced once) and children.  An episode
+    finds its instance's node by signature, and other nodes only when it
+    first takes a contraction, so two orders that reach one graph share its
+    node.  Nodes are small and kept unbounded.  Cumulative probabilities,
+    2^(n-1) floats per graph (the half state, see qaoa.statevector_depth1),
+    live in an LRU keyed by signature and bounded at about 2^24 floats.
     """
 
     def __init__(self):
-        self.angles: dict[tuple, Angles] = {}
-        self.exact: dict[tuple, np.ndarray] = {}
+        self._nodes: dict[tuple, _Node] = {}
         self._probs: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._max_prob: int | None = None
+
+    def node(self, g: WeightedGraph) -> _Node:
+        """The node of g's signature, created on first sight."""
+        key = g.signature()
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = _Node(g, key)
+        return node
+
+    def descend(self, node: _Node, red: ReducedInstance, i: int,
+                rec: ContractionRecord) -> tuple[_Node, ReducedInstance]:
+        """The node that rec, on edge i of node's graph, leads to, and contract(red, rec).
+
+        A contraction taken here before is read off the child, with the same
+        coupling contract reads, so the result equals contract's bit for bit.
+        """
+        child = node.children.get((i, rec.sign))
+        if child is None:
+            red = contract(red, rec)
+            child = node.children[i, rec.sign] = self.node(red.graph)
+            return child, red
+        j_uv = float(node.graph.edge_index()[1][i])
+        return child, ReducedInstance(child.graph, red.offset + rec.sign * j_uv, red.stack + (rec,))
 
     def probs_get(self, key: tuple) -> np.ndarray | None:
         if key not in self._probs:
@@ -212,36 +246,33 @@ def run_episode(
     n = inst.n
     cache = cache if cache is not None else StepCache()
 
-    red = ReducedInstance.fresh(inst.graph)
+    node = cache.node(inst.graph)
+    red = ReducedInstance.fresh(node.graph)
     steps: list[StepLog] = []
     total_shots = 0
     early_exhausted = False
 
-    while red.graph.node_count > cfg.n_c:
-        g = red.graph
+    while node.graph.node_count > cfg.n_c:
+        g = node.graph
         if g.edge_count == 0:
             # all couplings cancelled: remaining spins are free
             early_exhausted = True
             break
 
-        key = g.signature()
-        angles = cache.angles.get(key)
-        if angles is None:
-            angles = optimize_angles(g)
-            cache.angles[key] = angles
-
+        if node.angles is None:
+            node.angles = optimize_angles(g)
+        cum = cache.probs_get(node.key)
         sampler = CorrelationSampler(
             g,
-            angles,
+            node.angles,
             mode=cfg.sampling_mode,
             sv_threshold=cfg.sv_threshold,
-            exact_values=cache.exact.get(key),
-            cumulative_probs=cache.probs_get(key),
+            exact_values=node.exact,
+            cumulative_probs=cum,
         )
 
         if sampler.mode == MODE_EXACT:
             probe_est = sampler.exact_values()
-            cache.exact.setdefault(key, probe_est)
         else:
             probe_pool = sampler.draw(k_probe, rng)
             probe_est = sampler.estimate(probe_pool)
@@ -260,14 +291,15 @@ def run_episode(
             main_est = sampler.estimate(pool)
 
         # persist prepared-state data for future trials on this instance
-        if sampler.mode == MODE_STATEVECTOR and cache.probs_get(key) is None:
-            cache.probs_put(key, sampler.cumulative_probs())
-        if sampler.mode == MODE_BINOMIAL:
-            cache.exact.setdefault(key, sampler.exact_values())
+        if sampler.mode != MODE_STATEVECTOR:
+            node.exact = sampler.exact_values()
+        elif cum is None:
+            cache.probs_put(node.key, sampler.cumulative_probs())
 
         order = edge_order(main_est)
         elim, kept, sign = select_edge(g, main_est, order)
-        red = contract(red, ContractionRecord(eliminated=elim, kept=kept, sign=sign))
+        rec = ContractionRecord(eliminated=elim, kept=kept, sign=sign)
+        node, red = cache.descend(node, red, int(order[0]), rec)
         steps.append(
             StepLog(
                 step=len(steps) + 1,
@@ -287,10 +319,11 @@ def run_episode(
         total_shots += k_t
 
     while len(steps) < n - cfg.n_c:
-        steps.append(StepLog(step=len(steps) + 1, m=red.graph.node_count, trivial=True))
+        steps.append(StepLog(step=len(steps) + 1, m=node.graph.node_count, trivial=True))
 
-    _, residual_assignment = brute_force_optimum(red.graph)
-    full = reconstruct_assignment(red.stack, residual_assignment)
+    if node.residual is None:
+        node.residual = brute_force_optimum(node.graph)[1]
+    full = reconstruct_assignment(red.stack, node.residual)
     e_out = cut_value(inst.graph, full)
     sigma = success(e_out, inst.e_opt, cfg.rho_star)
     return EpisodeResult(

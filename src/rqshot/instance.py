@@ -47,10 +47,10 @@ class WeightedGraph:
     arrays: endpoint qubits (E x 2, each row increasing, rows in
     lexicographic order) and couplings (E,).  Couplings with magnitude below
     COUPLING_EPS are dropped at construction so that structural features see
-    true structure.
+    true structure.  Neighbour bitmasks are built on first use and kept.
     """
 
-    __slots__ = ("_nodes", "_index")
+    __slots__ = ("_nodes", "_index", "_nbr")
 
     def __init__(self, nodes: Iterable[int], edges: Mapping[tuple[int, int], float]):
         node_set = set(int(u) for u in nodes)
@@ -111,6 +111,15 @@ class WeightedGraph:
         Both arrays are the graph's own storage and are read-only.
         """
         return self._index
+
+    def neighbour_masks(self) -> list[int]:
+        """Per qubit, the Python int bitmask of its neighbouring qubits; built once."""
+        if getattr(self, "_nbr", None) is None:  # a slot stays unset until first use
+            self._nbr = [0] * len(self._nodes)
+            for a, b in self._index[0].tolist():
+                self._nbr[a] |= 1 << b
+                self._nbr[b] |= 1 << a
+        return self._nbr
 
     def coupling_matrix(self) -> np.ndarray:
         """A fresh symmetric n x n matrix of the couplings over qubits, zero where no edge."""
@@ -265,10 +274,7 @@ def hop_distance(g: WeightedGraph, sources: Iterable[int], targets: Iterable[int
     minimum of the pairwise distances.  Neighbour and frontier sets are
     Python int bitmasks over qubits.
     """
-    nbr = [0] * g.node_count
-    for a, b in g.edge_index()[0].tolist():
-        nbr[a] |= 1 << b
-        nbr[b] |= 1 << a
+    nbr = g.neighbour_masks()
     goal = sum(1 << q for q in set(targets))
     frontier = seen = sum(1 << q for q in set(sources))
     hops = 0

@@ -3,12 +3,20 @@ import json
 import numpy as np
 import pytest
 
+import rqshot.driver
 from rqshot.allocation import HeuristicPolicy, UniformPolicy
 from rqshot.driver import DriverConfig, StepCache, run_episode, select_edge, success
 from rqshot.features import edge_order, probe_shot_count
-from rqshot.instance import Instance, WeightedGraph, generate_instance
+from rqshot.instance import (
+    ContractionRecord,
+    Instance,
+    ReducedInstance,
+    WeightedGraph,
+    contract,
+    generate_instance,
+)
 
-from .conftest import edge_estimate
+from .conftest import edge_estimate, make_graph
 
 
 def select_from(values: dict) -> tuple[int, int, int]:
@@ -149,8 +157,9 @@ class TestRunEpisode:
         warm = run_episode(inst10, HeuristicPolicy(), 128, cfg, np.random.default_rng(7), cache=cache)
         cached = run_episode(inst10, HeuristicPolicy(), 128, cfg, np.random.default_rng(7), cache=cache)
         cold = run_episode(inst10, HeuristicPolicy(), 128, cfg, np.random.default_rng(7))
-        assert warm.e_out == cached.e_out == cold.e_out
-        assert warm.total_shots == cached.total_shots == cold.total_shots
+        for res in (cached, cold):
+            assert res.to_dict() == warm.to_dict()
+            assert [s.to_dict() for s in res.steps] == [s.to_dict() for s in warm.steps]
 
     def test_binomial_mode_runs(self, inst10):
         cfg = DriverConfig(sampling_mode="binomial")
@@ -158,8 +167,104 @@ class TestRunEpisode:
         assert len(res.steps) == 2
         assert 0 <= res.approx_ratio <= 1.0 + 1e-12
 
-    def test_angles_reoptimized_each_step(self, inst10, exact_cfg):
+    def test_angles_reoptimized_each_step(self, inst10, exact_cfg, monkeypatch):
+        calls = count_calls(monkeypatch, "optimize_angles")
         cache = StepCache()
-        run_episode(inst10, HeuristicPolicy(), 256, exact_cfg, np.random.default_rng(0), cache=cache)
-        # one cached angle entry per distinct reduced graph seen (2 steps)
-        assert len(cache.angles) == 2
+        for _ in range(2):
+            run_episode(inst10, HeuristicPolicy(), 256, exact_cfg, np.random.default_rng(0), cache=cache)
+        # one angle search per distinct reduced graph seen (2 steps), none on the rerun
+        assert calls["optimize_angles"] == 2
+
+
+def count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Wrap each named rqshot.driver function with a call counter; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(rqshot.driver, name, counted(name, getattr(rqshot.driver, name)))
+    return calls
+
+
+def edge_record(g: WeightedGraph, i: int, sign: int) -> ContractionRecord:
+    """The contraction run_episode makes of edge i: its larger endpoint eliminated."""
+    kept, eliminated = g.edge_list()[i]
+    return ContractionRecord(eliminated=eliminated, kept=kept, sign=sign)
+
+
+class TestStepCacheNodes:
+    def test_warm_rerun_contracts_and_solves_nothing(self, inst10, monkeypatch):
+        cfg = DriverConfig()
+        cold = run_episode(inst10, HeuristicPolicy(), 128, cfg, np.random.default_rng(5))
+        cache = StepCache()
+        run_episode(inst10, HeuristicPolicy(), 128, cfg, np.random.default_rng(5), cache=cache)
+        calls = count_calls(monkeypatch, "contract", "brute_force_optimum")
+        warm = run_episode(inst10, HeuristicPolicy(), 128, cfg, np.random.default_rng(5), cache=cache)
+        assert calls == {"contract": 0, "brute_force_optimum": 0}
+        assert warm.to_dict() == cold.to_dict()
+        assert [s.to_dict() for s in warm.steps] == [s.to_dict() for s in cold.steps]
+
+    def test_two_orders_to_one_graph_share_a_node(self, inst10, monkeypatch):
+        # contract two edges with no coupling between their endpoints, in
+        # either order: the merges commute bit for bit, so both episodes
+        # reach one graph, whose node both then share
+        g0 = inst10.graph
+        w, pos, edges = g0.coupling_matrix(), {u: q for q, u in enumerate(g0.nodes)}, g0.edge_list()
+        e1, e2 = next((a, b) for a in edges for b in edges
+                      if not any(w[pos[x], pos[y]] for x in a for y in b))
+        fresh = ReducedInstance.fresh(g0)
+        g1, g2 = (contract(fresh, edge_record(g0, edges.index(e), 1)).graph for e in (e1, e2))
+        script = [edges.index(e1), g1.edge_list().index(e2), 0,
+                  edges.index(e2), g2.edge_list().index(e1), 0]
+
+        def scripted_order(est):
+            i = script.pop(0)
+            return np.r_[i, np.delete(np.arange(len(est)), i)]
+
+        real_select = rqshot.driver.select_edge
+        monkeypatch.setattr(rqshot.driver, "edge_order", scripted_order)
+        monkeypatch.setattr(rqshot.driver, "select_edge", lambda g, est, order: real_select(g, abs(est), order))
+        calls = count_calls(monkeypatch, "optimize_angles", "brute_force_optimum")
+        cfg = DriverConfig(n_c=7, sampling_mode="exact")
+        cache = StepCache()
+        for _ in range(2):
+            run_episode(inst10, UniformPolicy(), 64, cfg, np.random.default_rng(0), cache=cache)
+        # searched once each: g0, g1, g2 and the shared g12; one residual, reached from g12
+        assert not script
+        assert calls == {"optimize_angles": 4, "brute_force_optimum": 1}
+
+    def test_hit_path_equals_contract_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            # couplings of +-1 and 0.5, so that merges also cancel edges exactly
+            g = make_graph({
+                (u, v): float(rng.choice([-1.0, 1.0, 0.5]))
+                for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.6
+            })
+            cache = StepCache()
+            walk = []
+            for warm in (False, True):
+                node, red = cache.node(g), ReducedInstance.fresh(g)
+                ref = red
+                for step in range(4):
+                    if node.graph.edge_count == 0:
+                        break
+                    if not warm:
+                        walk.append((int(rng.integers(node.graph.edge_count)), int(rng.choice([-1, 1]))))
+                    i, sign = walk[step]
+                    rec = edge_record(node.graph, i, sign)
+                    ref = contract(ref, rec)
+                    node, red = cache.descend(node, red, i, rec)
+                    for got in (red.graph, node.graph):
+                        assert got.nodes == ref.graph.nodes
+                        for a, b in zip(got.edge_index(), ref.graph.edge_index()):
+                            assert a.dtype == b.dtype and a.shape == b.shape
+                            assert a.tobytes() == b.tobytes()
+                    assert type(red.offset) is float
+                    assert np.float64(red.offset).tobytes() == np.float64(ref.offset).tobytes()
+                    assert red.stack == ref.stack

@@ -81,6 +81,8 @@ class TestWeightedGraph:
         assert ends.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
         assert j.tolist() == [0.25, -0.4, 1.5, 2.0]
         assert g.edge_index() is g.edge_index()
+        assert g.neighbour_masks() == [0b0110, 0b1001, 0b1001, 0b0110]
+        assert g.neighbour_masks() is g.neighbour_masks()
         with pytest.raises(ValueError, match="read-only"):
             ends[0, 0] = 5
         with pytest.raises(ValueError, match="read-only"):
