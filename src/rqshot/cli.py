@@ -20,7 +20,14 @@ import numpy as np
 from . import benchmark as bm
 from .config import RunConfig, load_config
 from .driver import check_episode
-from .instance import Instance, generate_instance
+from .instance import (
+    BRUTE_FORCE_MAX_NODES,
+    Instance,
+    brute_force_optimum,
+    check_regular,
+    cut_value,
+    generate_instance,
+)
 from .learner import CheckpointError, PolicyCheckpoint, TrainConfig, train
 from .qaoa import (
     Angles,
@@ -56,6 +63,11 @@ def _instance_paths(spec: str) -> list[Path]:
 
 
 def cmd_gen(args, cfg: RunConfig) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.n > BRUTE_FORCE_MAX_NODES:
+        raise ValueError(f"exact optima are limited to {BRUTE_FORCE_MAX_NODES} nodes, got -n {args.n}")
+    check_regular(args.n, args.d)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
@@ -289,16 +301,29 @@ def _grid_minimum(g) -> float:
     return float(surface.min())
 
 
+def _enumerated_max_cut(g) -> float:
+    """The largest cut over every +-1 assignment of all the graph's spins, no pinning."""
+    n = g.node_count
+    ends, j = g.edge_index()
+    z = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    return float((((1 - z[:, ends[:, 0]] * z[:, ends[:, 1]]) / 2) @ j).max())
+
+
 def cmd_oracle_check(args, cfg: RunConfig) -> int:
-    """Closed form vs statevector, angle search vs the grid, estimator sanity.
+    """Closed form vs statevector, angle search vs the grid, brute force vs enumeration.
 
     The angle search passes when the energy of its angles, computed from the
-    statevector, is no higher than the best point of the 48 x 24 grid.
-    Nonzero exit on any failure.
+    statevector, is no higher than the best point of the 48 x 24 grid.  The
+    brute-force optimum passes when it is within 1e-9 of a direct evaluation
+    of every assignment and the cut of its assignment, summed by cut_value,
+    equals it exactly.  An estimator sanity check follows.  Nonzero exit on
+    any failure.
     """
     rng = make_rng(args.check_seed, "oracle")
     worst = 0.0
     worst_angles = -np.inf
+    worst_opt = 0.0
+    assignments_exact = True
     for _ in range(args.cases):
         n = int(rng.integers(2, args.n_max + 1))
         degrees = [d for d in range(1, n) if (n * d) % 2 == 0]
@@ -311,9 +336,14 @@ def cmd_oracle_check(args, cfg: RunConfig) -> int:
         worst = max(worst, float(np.max(np.abs(_statevector_zz(g, a) - zz_all_edges(g, a)))))
         energy = float(_statevector_zz(g, optimize_angles(g)) @ g.edge_index()[1])
         worst_angles = max(worst_angles, energy - _grid_minimum(g))
+        e_opt, z = brute_force_optimum(g)
+        worst_opt = max(worst_opt, abs(e_opt - _enumerated_max_cut(g)))
+        assignments_exact = assignments_exact and cut_value(g, z) == e_opt
     print(f"closed form vs statevector: max |delta| = {worst:.3e} over {args.cases} cases")
     print(f"angle search energy minus 48x24 grid minimum: max {worst_angles:.3e}")
-    failed = worst > 1e-9 or worst_angles > 1e-12
+    print(f"brute force vs enumeration: max |delta| = {worst_opt:.3e}; "
+          f"cut of the returned assignment equals e_opt: {'yes' if assignments_exact else 'NO'}")
+    failed = worst > 1e-9 or worst_angles > 1e-12 or worst_opt > 1e-9 or not assignments_exact
 
     # estimator sanity: unbiasedness of the sampled mean at k=256
     inst = generate_instance(6, 3, seed=7, compute_opt=False)
@@ -394,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("oracle-check", help="validate the closed form against the statevector")
+    p = sub.add_parser(
+        "oracle-check", help="validate the closed form, angle search and brute force against references"
+    )
     p.add_argument("--n-max", type=int, default=12, dest="n_max")
     p.add_argument("--cases", type=int, default=200)
     p.add_argument("--seed", type=int, default=0, dest="check_seed")

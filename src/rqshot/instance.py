@@ -12,12 +12,20 @@ z_u = sign * z_v for one edge (u, v), merging u's couplings into v and
 accumulating a constant energy offset; `contract` performs one such step on
 the coupling matrix and `reconstruct_assignment` undoes a whole stack of
 them.  `hop_distance` is the breadth-first hop count between qubit sets.
+
+`brute_force_optimum` is the exact Max-Cut solver behind every instance's
+optimum and every episode's residual.  It builds a table of cut values by
+doubling over qubits, one chunk of at most 2^18 entries per setting of the
+highest qubits, and rescores the masks that come within a rounding bound of
+each chunk's maximum in edge order, so its cut and tie-break are those of a
+plain edge-by-edge sum.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -30,6 +38,8 @@ UNREACHABLE = 10 ** 9
 
 _RESEED_STRIDE = 1_000_003
 _REWEIGHT_SEED_BASE = 10 ** 9
+_TABLE_BITS = 18  # free qubits in _doubled_search's table: 2^18 cut values
+_RESCORE_BLOCK = 1 << 13  # entries of one block of _edge_order_cuts' term matrix
 
 
 class ContractionError(ValueError):
@@ -214,12 +224,112 @@ def cut_value(g: WeightedGraph, z: Mapping[int, int]) -> float:
     return sum(j * (1 - z[u] * z[v]) / 2 for (u, v), j in g.edges().items())
 
 
+def _edge_order_cuts(
+    masks: np.ndarray, n: int, ends: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """The cut value of each mask, summed left to right in edge order from 0.0.
+
+    Row 0 of the term matrix is zero and row e+1 holds edge e's terms, and
+    cumsum adds row after row, so each column is ((0.0 + t_0) + t_1) + ...;
+    a non-cut edge adds +-0.0, which changes nothing.  The matrix is built
+    in blocks of at most _RESCORE_BLOCK entries.
+    """
+    cuts = np.empty(len(masks))
+    cols = max(1, _RESCORE_BLOCK // (n + len(weights) + 1))
+    shifts = np.arange(n)[:, None]
+    for start in range(0, len(masks), cols):
+        block = masks[start:start + cols]
+        spins = ((block << 1) >> shifts) & 1  # row q holds qubit q's bit; qubit 0's stays 0
+        terms = np.zeros((len(weights) + 1, len(block)))
+        np.multiply(spins[ends[:, 0]] ^ spins[ends[:, 1]], weights[:, None], out=terms[1:])
+        cuts[start:start + cols] = np.cumsum(terms, axis=0, out=terms)[-1]
+    return cuts
+
+
+def _doubled_search(n: int, ends: np.ndarray, weights: np.ndarray) -> tuple[float, int]:
+    """The best (cut, mask) of brute_force_optimum, found through a doubled table.
+
+    The table holds the cut of every setting of the low free qubits
+    1..low, low = min(n - 1, _TABLE_BITS); each setting of the remaining
+    chunk qubits low+1..n-1 is one chunk, and chunks run in ascending order.
+    Adding free qubit i doubles the table: masks with bit i-1 clear gain
+    h_i = sum_{p<i} J_pi b_p, masks with it set gain W_i - h_i, where
+    W_i = sum_{p<i} J_pi.  A fixed chunk spin b on an edge to low qubit p
+    adds J b to p's clear half and J (1 - b) to its set half; an edge
+    between qubit 0 or a chunk qubit and a chunk qubit adds to the chunk's
+    constant.  A chunk whose maximum is below the best rescored cut minus tol
+    is skipped; the other chunks' masks within tol of their maximum are
+    rescored, and a strict > over ascending masks keeps the smallest of
+    equal cuts.
+    """
+    low = min(n - 1, _TABLE_BITS)
+    h = np.zeros(1 << low)  # h_i lives at h[2^(i-1) : 2^i]
+    k = [0.0] * (low + 1)  # W_i plus the couplings from low qubit i to chunk qubits
+    fixed = []  # edges (p, i, J) with chunk qubit i > low
+    for (p, i), j in zip(ends.tolist(), weights.tolist()):
+        if i > low:
+            fixed.append((p, i, j))
+            if 0 < p <= low:
+                k[p] += j
+            continue
+        k[i] += j
+        if p > 0:
+            half = 1 << (i - 1)
+            h[half:2 * half].reshape(-1, 2, 1 << (p - 1))[:, 1, :] += j
+    # a table entry takes at most n + 2E roundings over terms whose absolute
+    # values sum to at most 2 sum|J|, the edge-order sum E over sum|J|, so tol
+    # is at least twice the gap between the two
+    tol = 8 * (n + len(weights)) * sys.float_info.epsilon * float(np.abs(weights).sum())
+
+    table = np.empty(1 << low)
+    best_cut, best_mask = -math.inf, 0
+    for chunk in range(1 << (n - 1 - low)):
+        const = 0.0
+        clear = [0.0] * (low + 1)
+        for p, i, j in fixed:
+            b = (chunk >> (i - low - 1)) & 1
+            if p > low:
+                const += j * (b ^ ((chunk >> (p - low - 1)) & 1))
+            elif p == 0:
+                const += j * b
+            else:
+                clear[p] += j * b
+        table[0] = const
+        for i in range(1, low + 1):
+            half = 1 << (i - 1)
+            old, new, h_i = table[:half], table[half:2 * half], h[half:2 * half]
+            np.subtract(old, h_i, out=new)
+            new += k[i] - clear[i]
+            old += h_i
+            if clear[i]:
+                old += clear[i]
+        top = float(table.max())
+        if top < best_cut - tol:
+            continue
+        masks = np.flatnonzero(table >= top - tol) | (chunk << low)
+        cuts = _edge_order_cuts(masks, n, ends, weights)
+        at = int(np.argmax(cuts))
+        if cuts[at] > best_cut:
+            best_cut, best_mask = float(cuts[at]), int(masks[at])
+    return best_cut, best_mask
+
+
 def brute_force_optimum(g: WeightedGraph) -> tuple[float, dict[int, int]]:
     """Exhaustive Max-Cut over all sign-distinct assignments.
 
     The first (lowest-id) node is pinned to +1, halving the search space via
-    global spin-flip symmetry.  Ties break toward the smallest bitmask over
-    the remaining nodes, which makes the result deterministic.
+    global spin-flip symmetry; bit i-1 of a mask is the spin of nodes[i]
+    (set means -1).  The cut of a mask is the sum of its cut edges' couplings
+    left to right in edge order from 0.0, and ties break toward the smallest
+    mask, which makes the result deterministic.
+
+    A search small enough for one block of `_edge_order_cuts` (an episode's
+    residual) scores every mask that way.  A larger one goes through the
+    doubled table of `_doubled_search`, whose sums add the couplings in
+    another order, so masks that tie exactly can differ there by an ulp; it
+    rescores in edge order every mask within tol of its chunk's maximum,
+    tol being at least twice the largest gap between the two orders, and
+    returns the best rescored cut.
     """
     n = g.node_count
     if n == 0:
@@ -231,35 +341,13 @@ def brute_force_optimum(g: WeightedGraph) -> tuple[float, dict[int, int]]:
         return 0.0, {u: 1 for u in nodes}
 
     ends, weights = g.edge_index()
-
-    # bit i-1 of the mask is the spin of nodes[i], copied to row i of bits;
-    # row 0 stays 0 because nodes[0] is pinned to +1.  Every buffer is
-    # allocated once and filled in place chunk by chunk.
     total = 1 << (n - 1)
-    chunk = min(total, 1 << 18)  # both powers of two, so every chunk is full
-    offsets = np.arange(chunk, dtype=np.int64)
-    masks = np.empty(chunk, dtype=np.int64)
-    shifted = np.empty(chunk, dtype=np.int64)
-    bits = np.zeros((n, chunk), dtype=np.uint8)
-    flips = np.empty(chunk, dtype=np.uint8)
-    term = np.empty(chunk)
-    acc = np.empty(chunk)
-    best_cut = -math.inf
-    best_mask = 0
-    for start in range(0, total, chunk):
-        np.add(offsets, start, out=masks)
-        for i in range(1, n):
-            np.right_shift(masks, i - 1, out=shifted)
-            np.bitwise_and(shifted, 1, out=bits[i], casting="unsafe")
-        acc.fill(0.0)
-        for (iu, iv), w in zip(ends.tolist(), weights):
-            np.bitwise_xor(bits[iu], bits[iv], out=flips)
-            np.multiply(flips, w, out=term)
-            acc += term
-        i = int(np.argmax(acc))
-        if acc[i] > best_cut:
-            best_cut = float(acc[i])
-            best_mask = int(masks[i])
+    if total * (n + len(weights) + 1) <= _RESCORE_BLOCK:
+        cuts = _edge_order_cuts(np.arange(total, dtype=np.int64), n, ends, weights)
+        best_mask = int(np.argmax(cuts))
+        best_cut = float(cuts[best_mask])
+    else:
+        best_cut, best_mask = _doubled_search(n, ends, weights)
 
     assignment = {nodes[0]: 1}
     for i in range(1, n):
@@ -329,16 +417,21 @@ def _regular_topology(n: int, d: int, rng: np.random.Generator) -> set[tuple[int
             return edges
 
 
+def check_regular(n: int, d: int) -> None:
+    """Raise ValueError unless a simple d-regular graph on n nodes exists."""
+    if not 0 < d < n:
+        raise ValueError(f"degree must satisfy 0 < d < n, got d={d}, n={n}")
+    if (n * d) % 2 != 0:
+        raise ValueError(f"no {d}-regular graph on {n} nodes: n*d must be even")
+
+
 def generate_regular_gaussian(n: int, d: int, seed: int) -> WeightedGraph:
     """Random d-regular graph on nodes 0..n-1 with standard-normal weights.
 
     Weights are drawn i.i.d. N(0, 1) in sorted edge order after the topology
     is fixed, so the result is fully determined by the seed.
     """
-    if not 0 < d < n:
-        raise ValueError(f"degree must satisfy 0 < d < n, got d={d}, n={n}")
-    if (n * d) % 2 != 0:
-        raise ValueError(f"no {d}-regular graph on {n} nodes: n*d must be even")
+    check_regular(n, d)
     rng = np.random.default_rng(seed)
     topology = sorted(_regular_topology(n, d, rng))
     weights = rng.standard_normal(len(topology))

@@ -80,6 +80,19 @@ class TestGen:
     def test_infeasible_degree_is_usage_error(self, tmp_path):
         assert run("gen", "-n", "5", "-d", "3", "--out", str(tmp_path / "x")) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ("-n", "30", "-d", "3"),  # beyond the brute-force limit
+        ("-n", "10", "-d", "12"),
+        ("-n", "10", "-d", "0"),
+        ("-n", "9", "-d", "3"),  # n*d odd
+        ("-n", "10", "-d", "3", "--count", "0"),
+    ])
+    def test_bad_values_rejected_before_writing(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert run("gen", *argv, "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestScreenCalibrate:
     def test_screen_annotates_category(self, pipeline):
@@ -445,6 +458,22 @@ class TestOracleCheckCommand:
             return Angles(a.gamma, a.beta + np.pi / 8)
 
         monkeypatch.setattr(cli_mod, "optimize_angles", detuned)
+        assert run("oracle-check", "--n-max", "6", "--cases", "10") == 2
+
+    @pytest.mark.parametrize("breakage", ["value", "assignment"])
+    def test_broken_brute_force_fails(self, monkeypatch, breakage):
+        # mutation check: a wrong optimum, or an assignment whose cut is not it, must exit 2
+        import rqshot.cli as cli_mod
+
+        true_fn = cli_mod.brute_force_optimum
+
+        def broken(g):
+            e_opt, z = true_fn(g)
+            if breakage == "value":
+                return e_opt + 1e-6, z
+            return e_opt, {**z, g.nodes[0]: -z[g.nodes[0]]}
+
+        monkeypatch.setattr(cli_mod, "brute_force_optimum", broken)
         assert run("oracle-check", "--n-max", "6", "--cases", "10") == 2
 
 

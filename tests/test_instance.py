@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter, deque
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rqshot.instance as instance_mod
 from rqshot.instance import (
     COUPLING_EPS,
     UNREACHABLE,
@@ -248,10 +250,11 @@ class TestContract:
 
 
 def allocating_brute_force(g):
-    """Reference: the brute-force solver with fresh temporaries per edge and chunk.
+    """Reference: the edge-by-edge brute-force solver, fresh temporaries per edge and chunk.
 
-    Same pinning, bit layout, chunking and smallest-mask tie rule as the
-    production solver, whose buffers are allocated once per call instead.
+    Every mask's cut is summed left to right in edge order from 0.0; the
+    production solver must return the same pinning, bit layout, cut bits and
+    smallest-mask tie-break from its doubled table and edge-order rescoring.
     """
     n = g.node_count
     nodes = g.nodes
@@ -289,15 +292,67 @@ def integer_weighted_graph(n, p, rng):
     return WeightedGraph(range(n), edges)
 
 
+def components_graph(sizes, rng, isolated=0):
+    """Gaussian components on consecutive node blocks after `isolated` bare nodes.
+
+    Flipping every spin of one component leaves the cut unchanged, so each
+    optimum ties exactly with 2^(components - 1) others.
+    """
+    edges, start = {}, isolated
+    for size in sizes:
+        block = range(start, start + size)
+        for u, v in itertools.combinations(block, 2):
+            if rng.random() < 0.5:
+                edges[(u, v)] = float(rng.standard_normal())
+        for u in block[1:]:  # keep the block connected
+            edges.setdefault((u - 1, u), float(rng.standard_normal()))
+        start += size
+    return WeightedGraph(range(start), edges)
+
+
 class TestBruteForce:
-    def test_matches_allocating_reference(self, rng):
+    def test_matches_allocating_reference(self, rng, monkeypatch):
         graphs = [integer_weighted_graph(20, 0.15, rng)]  # two chunks of masks
         for n in range(2, 15):
             graphs.append(integer_weighted_graph(n, 0.5, rng))
             graphs.append(random_weighted_graph(n, 0.5, rng))
+        for sizes in ((6, 6), (5, 7), (4, 4, 5), (7, 3, 3), (3, 5, 6)):
+            graphs.append(components_graph(sizes, rng))
+        graphs.append(components_graph((12,), rng, isolated=1))  # node 0 touches no edge
+        graphs.append(components_graph((5, 6), rng, isolated=1))
+        graphs.append(generate_instance(22, 3, 847, compute_opt=False).graph)  # 8 chunks
         for g in graphs:
             if g.edge_count:
                 assert brute_force_optimum(g) == allocating_brute_force(g)
+
+        # chunks of 2^3 masks, so equal optima fall in different chunks
+        monkeypatch.setattr(instance_mod, "_TABLE_BITS", 3)
+        for n in range(9, 14):
+            for p in (0.25, 0.6):
+                g = integer_weighted_graph(n, p, rng)
+                assert brute_force_optimum(g) == allocating_brute_force(g)
+            g = components_graph((n // 2, n - n // 2), rng)
+            assert brute_force_optimum(g) == allocating_brute_force(g)
+
+    @pytest.mark.parametrize("n, d, e_opt_hex", [
+        (14, 8, "0x1.b6192fa8d43a1p+1"),
+        (16, 3, "0x1.c18f6427fa5d5p+3"),
+        (16, 5, "0x1.39b49821d369ap+3"),
+        (22, 3, "0x1.331b984a4a3d2p+3"),
+    ])
+    def test_bench_instance_optima_pinned(self, n, d, e_opt_hex):
+        assert generate_instance(n, d, 847).e_opt.hex() == e_opt_hex
+
+    def test_memory_stays_bounded(self):
+        # the table covers 18 free qubits, never all 2^(n-1) masks at once
+        g = generate_regular_gaussian(22, 3, 847)
+        tracemalloc.start()
+        try:
+            brute_force_optimum(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
     def test_single_edge(self):
         e_opt, z = brute_force_optimum(make_graph({(0, 1): 1.0}))
