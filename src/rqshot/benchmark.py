@@ -6,9 +6,10 @@ same cap.  Reported metrics per policy: success rate, median / mean / P90
 total shots, effective shots per success (median successful shots divided
 by SR), shot reduction versus uniform, and the restart cost mean/SR.
 
-Trials are embarrassingly parallel; each derives its own random stream from
-(master seed, instance, policy, trial index), so results are identical
-whatever the worker count.
+The harness is serial: each call runs one instance's trials in order over
+one StepCache, and each trial derives its own random stream from (master
+seed, tag, instance, cap or policy, trial index).  Instances share nothing,
+so a caller may run several at once; the CLI does, one instance per worker.
 """
 
 from __future__ import annotations
@@ -72,16 +73,6 @@ def make_policy(name: str, checkpoint=None):
     raise ValueError(f"unknown policy {name!r}")
 
 
-def _trial_chunk(payload) -> list[EpisodeResult]:
-    inst_data, policy, cap, cfg, seed_parts, indices = payload
-    inst = Instance.from_dict(inst_data)
-    cache = StepCache()
-    return [
-        run_episode(inst, policy, cap, cfg, make_rng(*seed_parts, t), cache=cache)
-        for t in indices
-    ]
-
-
 def run_trials(
     inst: Instance,
     policy,
@@ -90,25 +81,13 @@ def run_trials(
     cfg: DriverConfig,
     seed_parts: tuple,
     cache: StepCache | None = None,
-    jobs: int = 1,
 ) -> list[EpisodeResult]:
-    """N independent episodes with per-trial derived streams, optionally parallel.
-
-    Workers run contiguous chunks of trial indices and return their
-    EpisodeResults whole, so the parallel list equals the serial one.
-    """
-    if jobs <= 1:
-        cache = cache if cache is not None else StepCache()
-        return [
-            run_episode(inst, policy, cap, cfg, make_rng(*seed_parts, t), cache=cache)
-            for t in range(n_trials)
-        ]
-    from concurrent.futures import ProcessPoolExecutor  # the serial path needs no multiprocessing
-
-    chunks = [c.tolist() for c in np.array_split(np.arange(n_trials), jobs) if len(c)]
-    payloads = [(inst.to_dict(), policy, cap, cfg, seed_parts, chunk) for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [r for part in pool.map(_trial_chunk, payloads) for r in part]
+    """N independent episodes over one cache, trial t on the stream (*seed_parts, t)."""
+    cache = cache if cache is not None else StepCache()
+    return [
+        run_episode(inst, policy, cap, cfg, make_rng(*seed_parts, t), cache=cache)
+        for t in range(n_trials)
+    ]
 
 
 @dataclass
@@ -184,7 +163,6 @@ def hard_screen(
     cfg: DriverConfig,
     protocol: ProtocolConfig,
     master_seed: int = 0,
-    jobs: int = 1,
 ) -> tuple[str, float]:
     """Classify an instance by its mean uniform approximation ratio.
 
@@ -193,7 +171,7 @@ def hard_screen(
     cap = protocol.screen_cap
     results = run_trials(
         inst, UniformPolicy(), cap, protocol.screen_trials, cfg,
-        (master_seed, "screen", inst.instance_id, cap), jobs=jobs,
+        (master_seed, "screen", inst.instance_id, cap),
     )
     mean_ratio = statistics.fmean(r.approx_ratio for r in results)
     return ("hard" if mean_ratio <= protocol.hard_threshold else "easy"), mean_ratio
@@ -213,7 +191,6 @@ def calibrate_cap(
     protocol: ProtocolConfig,
     master_seed: int = 0,
     cal_tag: str | int = "calibrate",
-    jobs: int = 1,
 ) -> CalibrationResult:
     """Two-stage search for the smallest cap where uniform meets the target.
 
@@ -231,7 +208,7 @@ def calibrate_cap(
     def sr_at(cap: int) -> float:
         results = run_trials(
             inst, UniformPolicy(), cap, n_cal, cfg,
-            (master_seed, cal_tag, inst.instance_id, cap), cache=cache, jobs=jobs,
+            (master_seed, cal_tag, inst.instance_id, cap), cache=cache,
         )
         sr = sum(r.sigma for r in results) / n_cal
         probes.append({"cap": cap, "sr": sr})
@@ -272,7 +249,6 @@ def evaluate_methods(
     cfg: DriverConfig,
     protocol: ProtocolConfig,
     master_seed: int = 0,
-    jobs: int = 1,
 ) -> tuple[list[EvaluationRecord], dict[str, list[EpisodeResult]]]:
     """Evaluate named policies on one instance under its shared cap.
 
@@ -290,7 +266,7 @@ def evaluate_methods(
     for name, policy in all_policies.items():
         trials[name] = run_trials(
             inst, policy, cap, protocol.eval_trials, cfg,
-            (master_seed, "eval", inst.instance_id, name), cache=cache, jobs=jobs,
+            (master_seed, "eval", inst.instance_id, name), cache=cache,
         )
     summaries = {name: TrialSummary.from_results(r) for name, r in trials.items()}
     uni = summaries["uniform"]

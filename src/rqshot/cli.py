@@ -3,8 +3,10 @@
 Every command is idempotent (outputs are overwritten, never appended), and
 every stochastic step derives its streams from the master seed, so a whole
 pipeline rerun with the same config reproduces its result files byte for
-byte.  Exit codes: 0 success, 1 usage error, 2 validation/oracle failure,
-3 missing upstream artifact.
+byte.  With --jobs N, screen, calibrate and eval run up to N instances at
+once in one process pool, each instance whole in one worker, so every output
+equals the serial run's.  Exit codes: 0 success, 1 usage error,
+2 validation/oracle failure, 3 missing upstream artifact.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +47,8 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_MISSING = 3
 
-# the commands that draw their random streams from the master seed
-MASTER_SEED_COMMANDS = ("screen", "calibrate", "train", "eval")
+# the commands that run episodes: they draw their streams from the master seed and read jobs
+EPISODE_COMMANDS = ("screen", "calibrate", "train", "eval")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -60,6 +63,16 @@ def _instance_paths(spec: str) -> list[Path]:
     if p.exists():
         return [p]
     raise FileNotFoundError(f"no instance file or directory at {spec}")
+
+
+def _map_instances(jobs: int, fn, *columns: list) -> list:
+    """fn over the columns' rows in order; with jobs > 1 and two or more rows, in one process pool."""
+    if jobs < 2 or len(columns[0]) < 2:
+        return list(map(fn, *columns))
+    from concurrent.futures import ProcessPoolExecutor  # a serial run starts no multiprocessing
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(columns[0]))) as pool:
+        return list(pool.map(fn, *columns))
 
 
 def cmd_gen(args, cfg: RunConfig) -> int:
@@ -83,10 +96,10 @@ def cmd_screen(args, cfg: RunConfig) -> int:
     instances = [Instance.load(path) for path in paths]
     for inst in instances:  # every instance is checked before any is relabelled
         check_episode(inst, cfg.protocol.screen_cap, cfg.driver)
-    for path, inst in zip(paths, instances):
-        label, mean_ratio = bm.hard_screen(
-            inst, cfg.driver, cfg.protocol, master_seed=cfg.master_seed, jobs=cfg.jobs
-        )
+    screen = partial(bm.hard_screen, cfg=cfg.driver, protocol=cfg.protocol,
+                     master_seed=cfg.master_seed)
+    for path, inst, (label, mean_ratio) in zip(paths, instances,
+                                               _map_instances(cfg.jobs, screen, instances)):
         inst.category = label
         inst.save(path)
         print(f"{inst.instance_id}: mean uniform ratio {mean_ratio:.4f} -> {label}")
@@ -94,14 +107,20 @@ def cmd_screen(args, cfg: RunConfig) -> int:
 
 
 def cmd_calibrate(args, cfg: RunConfig) -> int:
-    inst = Instance.load(args.instance)
-    result = bm.calibrate_cap(
-        inst, cfg.driver, cfg.protocol, master_seed=cfg.master_seed, jobs=cfg.jobs
-    )
-    out = Path(args.out) if args.out else Path(args.instance).with_suffix(".cap.json")
-    _write_json(out, {"instance_id": inst.instance_id, **asdict(result)})
-    flag = " (budget-limited)" if result.budget_limited else ""
-    print(f"{inst.instance_id}: cap {result.cap}{flag}, SR at cap {result.sr_at_cap:.3f}")
+    paths = _instance_paths(args.instance)
+    if args.out and len(paths) > 1:
+        raise ValueError(f"--out names one calibration file, but {args.instance} holds "
+                         f"{len(paths)} instances; omit it to write each beside its instance")
+    instances = [Instance.load(path) for path in paths]
+    for inst in instances:  # every instance is checked before any is calibrated
+        check_episode(inst, cfg.protocol.cap_grid[0], cfg.driver)
+    calibrate = partial(bm.calibrate_cap, cfg=cfg.driver, protocol=cfg.protocol,
+                        master_seed=cfg.master_seed)
+    for path, inst, result in zip(paths, instances, _map_instances(cfg.jobs, calibrate, instances)):
+        out = Path(args.out) if args.out else path.with_suffix(".cap.json")
+        _write_json(out, {"instance_id": inst.instance_id, **asdict(result)})
+        flag = " (budget-limited)" if result.budget_limited else ""
+        print(f"{inst.instance_id}: cap {result.cap}{flag}, SR at cap {result.sr_at_cap:.3f}")
     return EXIT_OK
 
 
@@ -147,29 +166,27 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         if name == "rl":
             if not args.checkpoint:
                 raise FileNotFoundError("rl policy requested but no --checkpoint given")
-            checkpoint = PolicyCheckpoint.load(args.checkpoint, expected_bins=cfg.driver.bins)
+            checkpoint = PolicyCheckpoint.load(args.checkpoint, expected_bins=cfg.driver.bins,
+                                               expected_n_c=cfg.driver.n_c)
             policies[name] = bm.make_policy("rl", checkpoint)
         else:
             policies[name] = bm.make_policy(name)
 
     # every instance and its cap are checked before anything is written
-    runs = []
-    for path in _instance_paths(args.instances):
-        inst = Instance.load(path)
-        cap = _resolve_cap(args.cap, inst, args.caps_dir)
+    instances = [Instance.load(path) for path in _instance_paths(args.instances)]
+    caps = [_resolve_cap(args.cap, inst, args.caps_dir) for inst in instances]
+    for inst, cap in zip(instances, caps):
         check_episode(inst, cap, cfg.driver)
-        runs.append((inst, cap))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     all_records: list[bm.EvaluationRecord] = []
     trial_lines: list[str] = []
     step_lines: list[str] = []
-    for inst, cap in runs:
-        records, trials = bm.evaluate_methods(
-            inst, policies, cap, cfg.driver, cfg.protocol, master_seed=cfg.master_seed,
-            jobs=cfg.jobs,
-        )
+    evaluate = partial(bm.evaluate_methods, cfg=cfg.driver, protocol=cfg.protocol,
+                       master_seed=cfg.master_seed)
+    runs = _map_instances(cfg.jobs, evaluate, instances, [policies] * len(instances), caps)
+    for inst, cap, (records, trials) in zip(instances, caps, runs):
         all_records.extend(records)
         for policy_name, results in trials.items():
             for t, r in enumerate(results):
@@ -376,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, help="override the master seed of screen, calibrate, train and eval"
     )
-    parser.add_argument("--jobs", type=int, help="trial parallelism of screen, calibrate and eval")
+    parser.add_argument("--jobs", type=int, help="instances at once in screen, calibrate and eval")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate regular Gaussian instances with exact optima")
@@ -393,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_screen)
 
     p = sub.add_parser("calibrate", help="two-stage uniform cap calibration")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--out")
+    p.add_argument("--instance", required=True, help="an instance file or a directory of them")
+    p.add_argument("--out", help="the calibration file of a single instance")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("train", help="train the residual Double Q policy on one instance")
@@ -444,12 +461,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.command not in MASTER_SEED_COMMANDS:
-                raise ValueError(f"{args.command} reads no master seed; the global --seed does not apply")
-            cfg = replace(cfg, master_seed=args.seed)
-        if args.jobs is not None:
-            cfg = replace(cfg, jobs=args.jobs)
+        for flag in ("seed", "jobs"):
+            if getattr(args, flag) is not None and args.command not in EPISODE_COMMANDS:
+                raise ValueError(f"{args.command} runs no episodes; the global --{flag} does not apply")
+        overrides = {"master_seed": args.seed, "jobs": args.jobs}
+        cfg = replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
         return args.func(args, cfg)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

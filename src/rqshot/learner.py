@@ -135,10 +135,11 @@ class TrainConfig:
     validation_trials: int = 20
 
     def __post_init__(self):
-        for name in ("episodes", "warmup", "validation_every", "lambda0", "lambda_max"):
+        for name in ("episodes", "warmup", "validation_every", "lambda0", "lambda_max",
+                     "mu_lambda", "eta", "extra_fail_penalty"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("eps_start", "eps_min", "eps_decay"):
+        for name in ("alpha", "discount", "eps_start", "eps_min", "eps_decay", "ema_beta", "p_star"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.validation_trials < 1:
@@ -235,7 +236,9 @@ class PolicyCheckpoint:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
     @classmethod
-    def load(cls, path: Path | str, expected_bins: BinBoundaries | None = None) -> "PolicyCheckpoint":
+    def load(cls, path: Path | str, expected_bins: BinBoundaries | None = None,
+             expected_n_c: int | None = None) -> "PolicyCheckpoint":
+        """Read a checkpoint; bins or an n_c other than those expected raise CheckpointError."""
         try:
             data = json.loads(Path(path).read_text())
         except ValueError as exc:  # not JSON, or not text
@@ -246,6 +249,9 @@ class PolicyCheckpoint:
                 "checkpoint was trained under different bin boundaries; "
                 "its greedy policy is not valid under this configuration"
             )
+        if expected_n_c is not None and ckpt.n_c != expected_n_c:
+            raise CheckpointError(f"checkpoint was trained under n_c = {ckpt.n_c}, not {expected_n_c}; "
+                                  "its table rows are keyed by m - n_c - 1")
         return ckpt
 
 

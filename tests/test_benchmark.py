@@ -1,11 +1,13 @@
 import itertools
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from rqshot import benchmark as bm
 from rqshot.allocation import HeuristicPolicy, RLPolicy, UniformPolicy
+from rqshot.cli import _map_instances
 from rqshot.driver import DriverConfig, EpisodeResult
 from rqshot.instance import generate_instance
 
@@ -106,7 +108,7 @@ class TestCalibration:
     def test_stage2_refines_within_bracket(self, monkeypatch):
         # synthetic SR: every trial succeeds iff cap >= 300; the grid brackets it
         # in (256, 512] and bisection at resolution 16 lands on 304
-        def fake_run_trials(inst, policy, cap, n_trials, cfg, seed_parts, cache=None, jobs=1):
+        def fake_run_trials(inst, policy, cap, n_trials, cfg, seed_parts, cache=None):
             return fake_results([(cap, int(cap >= 300))] * n_trials)
 
         monkeypatch.setattr(bm, "run_trials", fake_run_trials)
@@ -116,17 +118,15 @@ class TestCalibration:
         assert [p["cap"] for p in cal.probes] == [64, 128, 256, 512, 384, 320, 288, 304]
 
     def test_parallel_jobs_match_serial(self):
-        # screen label and ratio, every calibration probe and the cap; the
-        # bracket 16..64 makes calibration bisect
-        inst = generate_instance(10, 5, seed=2)
+        # screen label and ratio, every calibration probe and the cap, with each instance
+        # run whole in a worker; the bracket 16..64 makes calibration bisect
+        insts = [generate_instance(10, 5, seed=s) for s in (2, 3)]
         protocol = bm.ProtocolConfig(screen_trials=8, screen_cap=64, cal_trials=8, cap_grid=(16, 64))
-        screens = [bm.hard_screen(inst, DriverConfig(), protocol, master_seed=4, jobs=jobs)
-                   for jobs in (1, 2)]
-        assert screens[1] == screens[0]
-        cals = [bm.calibrate_cap(inst, DriverConfig(), protocol, master_seed=4, jobs=jobs)
-                for jobs in (1, 2)]
-        assert cals[1] == cals[0]
-        assert len(cals[0].probes) > 2
+        for harness in (bm.hard_screen, bm.calibrate_cap):
+            fn = partial(harness, cfg=DriverConfig(), protocol=protocol, master_seed=4)
+            serial, parallel = (_map_instances(jobs, fn, insts) for jobs in (1, 2))
+            assert parallel == serial
+        assert all(len(cal.probes) > 2 for cal in serial)
 
     def test_probes_recorded(self):
         inst = generate_instance(10, 4, seed=3)
@@ -169,19 +169,24 @@ class TestEvaluateMethods:
         assert all(len(v) == 20 for v in trials.values())
 
     def test_parallel_jobs_match_serial(self):
-        # every output, step logs included; the RL table sends a different
-        # residual from every cell, so a lost table would show
+        # every output, step logs included, with each instance run whole in a worker; the RL
+        # table sends a different residual from every cell, so a lost table would show
         cells = itertools.product(range(6), range(7), range(5), range(5))
         q1 = {c: [float(a == sum(c) % 6) for a in range(6)] for c in cells}
-        inst = generate_instance(10, 4, seed=3)
-        for policy in (UniformPolicy(), HeuristicPolicy(), RLPolicy(q1, {})):
-            serial = bm.run_trials(inst, policy, 256, 8, DriverConfig(), (9, "x"), jobs=1)
-            parallel = bm.run_trials(inst, policy, 256, 8, DriverConfig(), (9, "x"), jobs=2)
-            assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
-            assert [[s.to_dict() for s in r.steps] for r in parallel] == [
-                [s.to_dict() for s in r.steps] for r in serial
-            ]
-            assert all(r.steps for r in parallel)
+        insts = [generate_instance(10, 4, seed=s) for s in (3, 4)]
+        policies = {"uniform": UniformPolicy(), "heuristic": HeuristicPolicy(), "rl": RLPolicy(q1, {})}
+        fn = partial(bm.evaluate_methods, cfg=DriverConfig(),
+                     protocol=bm.ProtocolConfig(eval_trials=8), master_seed=9)
+        serial, parallel = (_map_instances(jobs, fn, insts, [policies] * 2, [256] * 2)
+                            for jobs in (1, 2))
+        for (recs_s, trials_s), (recs_p, trials_p) in zip(serial, parallel):
+            assert recs_p == recs_s
+            for name in policies:
+                assert [r.to_dict() for r in trials_p[name]] == [r.to_dict() for r in trials_s[name]]
+                assert [[s.to_dict() for s in r.steps] for r in trials_p[name]] == [
+                    [s.to_dict() for s in r.steps] for r in trials_s[name]
+                ]
+                assert all(r.steps for r in trials_p[name])
 
 
 class TestOperationalFilter:

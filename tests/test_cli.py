@@ -1,3 +1,5 @@
+import concurrent.futures
+import itertools
 import json
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 import rqshot
 from rqshot import benchmark as bm
+from rqshot import cli
 from rqshot.cli import EXIT_MISSING, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 from rqshot.config import load_config
 from rqshot.driver import DriverConfig
@@ -20,6 +23,19 @@ from rqshot.qaoa import Angles
 
 def run(*argv):
     return main(list(argv))
+
+
+def record_pools(monkeypatch) -> list:
+    """Patch the process pool so that each one built appends its max_workers to the returned list."""
+    built = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +221,17 @@ class TestKnobsTakeEffect:
         assert run("--seed", "5", "gen", "-n", "10", "-d", "3", "--out", str(out)) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "-n", "10", "-d", "3", "--out", "{tmp}/g"),
+        ("report", "--records", "{tmp}/results", "--out", "{tmp}/r"),
+        ("oracle-check", "--n-max", "4", "--cases", "2"),
+    ], ids=["gen", "report", "oracle-check"])
+    def test_global_jobs_rejected_where_no_episode_runs(self, tmp_path, capsys, argv):
+        (tmp_path / "results").mkdir()  # an empty records directory, which report accepts
+        assert run("--jobs", "4", *(a.format(tmp=tmp_path) for a in argv)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["results"]
+
     def test_screen_reads_hard_threshold(self, tmp_path):
         inst_dir = tmp_path / "inst"
         assert run("gen", "-n", "10", "-d", "3", "--seed", "1", "--out", str(inst_dir)) == EXIT_OK
@@ -257,13 +284,13 @@ class TestKnobsTakeEffect:
     def test_jobs_reach_screen_and_calibrate(self, pipeline, tmp_path, monkeypatch):
         _, inst_path, _ = pipeline
         seen_jobs = []
-        serial_run_trials = bm.run_trials
+        map_instances = cli._map_instances
 
-        def recording_run_trials(*args, jobs=1, **kwargs):
-            seen_jobs.append(jobs)
-            return serial_run_trials(*args, jobs=jobs, **kwargs)
+        def recording_map_instances(jobs, fn, *columns):
+            seen_jobs.append((fn.func.__name__, jobs))
+            return map_instances(jobs, fn, *columns)
 
-        monkeypatch.setattr(bm, "run_trials", recording_run_trials)
+        monkeypatch.setattr(cli, "_map_instances", recording_map_instances)
         ini = tmp_path / "run.ini"
         ini.write_text("[benchmark]\nscreen_trials = 6\ncal_trials = 6\ncap_grid = 16 64\n")
         outputs = []
@@ -279,7 +306,8 @@ class TestKnobsTakeEffect:
                        "--out", str(cap)) == EXIT_OK
             outputs.append((inst_copy.read_bytes(), cap.read_bytes()))
         assert outputs[1] == outputs[0]
-        assert set(seen_jobs) == {1, 2} and seen_jobs.count(2) == seen_jobs.count(1)
+        assert seen_jobs == [("hard_screen", 1), ("calibrate_cap", 1),
+                             ("hard_screen", 2), ("calibrate_cap", 2)]
 
     def test_negative_episode_flag_is_usage_error(self, pipeline, tmp_path, capsys):
         _, inst_path, cap_path = pipeline
@@ -329,8 +357,10 @@ class TestKnobsTakeEffect:
                    "--out", str(out)) == expected
         assert not out.exists()
 
-    def test_parallel_eval_logs_match_serial(self, pipeline, tmp_path):
+    def test_parallel_eval_logs_match_serial(self, pipeline, tmp_path, monkeypatch):
+        # a single instance runs in-process whatever --jobs says
         _, inst_path, cap_path = pipeline
+        built = record_pools(monkeypatch)
         ini = tmp_path / "run.ini"
         ini.write_text("[benchmark]\neval_trials = 6\n")
         outs = []
@@ -342,6 +372,85 @@ class TestKnobsTakeEffect:
             outs.append(out)
         for name in ("trials.jsonl", "steps.jsonl", "records.csv"):
             assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+        assert built == []
+
+
+# cap_grid 16 64 makes both instances' calibrations bisect
+POOL_INI = ("[benchmark]\nscreen_trials = 6\nscreen_cap = 64\ncal_trials = 6\ncap_grid = 16 64\n"
+            "eval_trials = 6\n")
+
+
+class TestInstancePool:
+    def _two_instances(self, root: Path) -> Path:
+        inst = root / "inst"
+        assert run("gen", "-n", "10", "-d", "5", "--count", "2", "--seed", "2",
+                   "--out", str(inst)) == EXIT_OK
+        return inst
+
+    def test_parallel_commands_match_serial(self, tmp_path, monkeypatch):
+        # screen, calibrate and eval over two instances: --jobs 2 builds one two-worker pool per
+        # command, --jobs 1 none, and every file is the same; the RL table sends a different
+        # residual from every cell, so a table lost on the way to a worker would show
+        built = record_pools(monkeypatch)
+        ini = tmp_path / "run.ini"
+        ini.write_text(POOL_INI)
+        cells = itertools.product(range(6), range(7), range(5), range(5))
+        q1 = {c: [float(a == sum(c) % 6) for a in range(6)] for c in cells}
+        ckpt = tmp_path / "policy.json"
+        PolicyCheckpoint(qtables=QTables(q1=q1), config=TrainConfig(), bin_boundaries=BinBoundaries(),
+                         n=10, n_c=8, instance_id="n10d05s2").save(ckpt)
+        trees = []
+        for jobs in ("1", "2"):
+            root = tmp_path / f"jobs{jobs}"
+            inst = self._two_instances(root)
+            for argv in (
+                ("screen", "--instances", str(inst)),
+                ("calibrate", "--instance", str(inst)),
+                ("eval", "--instances", str(inst), "--policies", "uniform,heuristic,rl",
+                 "--checkpoint", str(ckpt), "--caps-dir", str(inst), "--log-steps",
+                 "--out", str(root / "eval")),
+            ):
+                built.clear()
+                assert run("--config", str(ini), "--jobs", jobs, *argv) == EXIT_OK
+                assert built == ([2] if jobs == "2" else [])
+            trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+        assert trees[1] == trees[0]
+        assert len(trees[0]) == 2 + 2 + 3  # instances, caps, records, trials and steps
+        caps = [json.loads(v) for k, v in trees[0].items() if k.name.endswith(".cap.json")]
+        assert all(len(c["probes"]) > 2 for c in caps)
+        assert Instance.load(root / "inst" / "n10d05s2.json").category in ("hard", "easy")
+
+    def test_calibrate_directory_matches_per_file_runs(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text(POOL_INI)
+        inst = self._two_instances(tmp_path)
+        paths = sorted(inst.glob("*.json"))
+        for path in paths:
+            assert run("--config", str(ini), "calibrate", "--instance", str(path),
+                       "--out", str(tmp_path / "caps" / f"{path.stem}.cap.json")) == EXIT_OK
+        assert run("--config", str(ini), "calibrate", "--instance", str(inst)) == EXIT_OK
+        for path in paths:
+            cap = f"{path.stem}.cap.json"
+            assert (inst / cap).read_bytes() == (tmp_path / "caps" / cap).read_bytes()
+
+    def test_calibrate_out_needs_one_instance(self, tmp_path, capsys):
+        inst = self._two_instances(tmp_path)
+        out = tmp_path / "one.cap.json"
+        assert run("calibrate", "--instance", str(inst), "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --out names one calibration file")
+        assert not out.exists() and not list(inst.glob("*.cap.json"))
+
+    def test_calibrate_checks_every_instance_before_writing(self, tmp_path):
+        # the n = 18 instance probes 32 shots, above cap_grid[0]; the n = 10 one gets no cap either
+        inst = tmp_path / "inst"
+        for n in ("10", "18"):
+            assert run("gen", "-n", n, "-d", "3", "--out", str(inst)) == EXIT_OK
+        ini = tmp_path / "run.ini"
+        ini.write_text("[benchmark]\ncal_trials = 2\ncap_grid = 16 64\n")
+        for jobs in ("1", "2"):
+            assert run("--config", str(ini), "--jobs", jobs, "calibrate",
+                       "--instance", str(inst)) == EXIT_USAGE
+            assert not list(inst.glob("*.cap.json"))
 
 
 def edited(edit):
@@ -378,6 +487,21 @@ class TestCheckpointFile:
         assert run("eval", "--instances", str(inst_path), "--policies", "rl", "--checkpoint",
                    str(ckpt), "--cap", "64", "--out", str(out)) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+    def test_other_n_c_is_validation_error(self, pipeline, tmp_path, capsys):
+        # discretize keys rows by m - n_c - 1, so an n_c = 8 table read under n_c = 6 is off by two
+        _, inst_path, _ = pipeline
+        ckpt = tmp_path / "policy.json"
+        PolicyCheckpoint(qtables=QTables(), config=TrainConfig(), bin_boundaries=BinBoundaries(),
+                         n=10, n_c=8, instance_id="n10d04s3").save(ckpt)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nn_c = 6\n")
+        out = tmp_path / "e"
+        assert run("--config", str(ini), "eval", "--instances", str(inst_path), "--policies", "rl",
+                   "--checkpoint", str(ckpt), "--cap", "64", "--out", str(out)) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: checkpoint was trained under n_c = 8")
         assert not out.exists()
 
 
@@ -551,6 +675,13 @@ class TestConfigFile:
         "[train]\nepisodes = -4\n",
         "[train]\neps_start = 1.5\n",
         "[train]\nlambda0 = -1\n",
+        "[train]\nalpha = 7\n",
+        "[train]\ndiscount = 3\n",
+        "[train]\nema_beta = -2\n",
+        "[train]\np_star = 4\n",
+        "[train]\nmu_lambda = -1\n",
+        "[train]\neta = -0.5\n",
+        "[train]\nextra_fail_penalty = -5\n",
         "[run]\njobs = 0\n",
         "[run]\njobs = -3\n",
     ]] + [("", ("--jobs", "0"))],
@@ -558,7 +689,8 @@ class TestConfigFile:
              "descending-edges", "eval_trials-zero", "screen_trials-zero", "cal_trials-zero",
              "screen_cap-zero", "cal_resolution-zero", "empty-cap-grid", "descending-cap-grid",
              "validation_trials-zero", "negative-episodes", "epsilon-above-one", "negative-lambda0",
-             "jobs-zero", "negative-jobs", "jobs-flag-zero"])
+             "alpha-above-one", "discount-above-one", "negative-ema_beta", "p_star-above-one",
+             "negative-mu_lambda", "negative-eta", "negative-extra_fail_penalty", "jobs-zero", "negative-jobs", "jobs-flag-zero"])
     def test_out_of_range_value_is_usage_error(self, pipeline, tmp_path, capsys, text, flags):
         _, inst_path, cap_path = pipeline
         ini = tmp_path / "range.ini"
@@ -574,8 +706,11 @@ class TestConfigFile:
         lambda: DriverConfig(sampling_mode="sampled"),
         lambda: BinBoundaries(dist_bins=0),
         lambda: replace(TrainConfig.preset("aggressive"), validation_trials=0),
+        lambda: replace(TrainConfig(), alpha=1.5),
+        lambda: TrainConfig(extra_fail_penalty=-1.0),
         lambda: bm.ProtocolConfig(cap_grid=(64, 64)),
-    ], ids=["driver-replace", "driver", "bins", "train-replace", "protocol"])
+    ], ids=["driver-replace", "driver", "bins", "train-replace", "train-alpha", "train-penalty",
+            "protocol"])
     def test_dataclasses_check_their_ranges(self, build):
         with pytest.raises(ValueError):
             build()

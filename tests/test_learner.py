@@ -245,6 +245,13 @@ class TestCheckpoint:
         ckpt.save(path)
         PolicyCheckpoint.load(path, expected_bins=BinBoundaries())
 
+    def test_n_c_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        self._checkpoint().save(path)
+        assert PolicyCheckpoint.load(path, expected_n_c=8).n_c == 8
+        with pytest.raises(CheckpointError, match="n_c = 8, not 6"):
+            PolicyCheckpoint.load(path, expected_n_c=6)
+
 
 @pytest.fixture(scope="module")
 def tiny_instance():
