@@ -59,7 +59,9 @@ def _write_json(path: Path, obj) -> None:
 def _instance_paths(spec: str) -> list[Path]:
     p = Path(spec)
     if p.is_dir():
-        return sorted(q for q in p.glob("*.json") if not q.name.endswith(".cap.json"))
+        if paths := sorted(q for q in p.glob("*.json") if not q.name.endswith(".cap.json")):
+            return paths
+        raise ValueError(f"no instance file in directory {spec}")
     if p.exists():
         return [p]
     raise FileNotFoundError(f"no instance file or directory at {spec}")

@@ -15,28 +15,28 @@ part:
 with R_u the row of u in the coupling matrix, columns u and v zeroed, and w
 over every node: an absent coupling gives cos 0 = 1, and a node coupled to
 one endpoint only gives the same factor in both products of b (the
-all-vertex form of Ozaeta, van Dam & McMahon, arXiv:2012.03421).  Summed
-with the couplings, the energy is A(gamma) sin 4beta + B(gamma) sin^2 2beta,
+all-vertex form of Ozaeta, van Dam & McMahon, arXiv:2012.03421).  One cosine
+per distinct argument serves all four products (_EdgeTerms).  Summed with
+the couplings, the energy is A(gamma) sin 4beta + B(gamma) sin^2 2beta,
 whose minimum over beta is B/2 - sqrt(A^2 + B^2/4) in closed form (Wang,
 Hadfield, Jiang & Rieffel, arXiv:1706.02998), so the angle search is a
 one-dimensional search over gamma: a grid scan refined by Brent's bounded
 golden-section and parabolic search (_bounded_minimum; R. P. Brent,
-Algorithms for Minimization without Derivatives, 1973, ch. 5), written in
-the operation order of SciPy's minimize_scalar(method="bounded"), whose
-result it reproduces bit for bit without importing SciPy.  The expression is
-validated against the statevector simulator in the test suite; the
-simulator, not the formula, is the ground truth.  H has no fields, so the
-state is invariant under the global spin flip X^(x)n, the Z2 symmetry RQAOA
-is built on (Bravyi, Kliesch, Koenig & Tang, arXiv:1910.08980), and every ZZ
-product and every disagreement count is too.  The simulator therefore
-prepares only the 2^(n-1) amplitudes with the top qubit at 0.  It builds the
-phased state 2^(-n/2) exp(-i gamma C(z)) as complex amplitudes by doubling
-over qubits, about 2^n complex multiplies and no trigonometry over the
-2^(n-1) entries, applies the mixer of the lower qubits five at a time, one
-matmul by the 32 x 32 factor exp(-i beta X)^(x)5 per block of qubits (fused
-gates, as in Haener & Steiger, arXiv:1704.01127), and the top qubit's mixer
-as a reversal of the half.  Shots are drawn from the half's cumulative
-distribution, each draw from the flipped half folded onto its mirror image.
+Algorithms for Minimization without Derivatives, 1973, ch. 5), in the
+operation order of SciPy's minimize_scalar(method="bounded"), reproducing
+its result bit for bit without SciPy.  The statevector simulator, not the
+formula, is the ground truth in the tests.  H has no fields, so the state is
+invariant under the global spin flip X^(x)n, the Z2 symmetry RQAOA is built
+on (Bravyi, Kliesch, Koenig & Tang, arXiv:1910.08980), and every ZZ product
+and every disagreement count is too.  The simulator therefore prepares only
+the 2^(n-1) amplitudes with the top qubit at 0.  It builds the phased state
+2^(-n/2) exp(-i gamma C(z)) as complex amplitudes by doubling over qubits,
+about 2^n complex multiplies and no trigonometry over the 2^(n-1) entries,
+applies the mixer of the lower qubits five at a time, one matmul by the
+32 x 32 factor exp(-i beta X)^(x)5 per block of qubits (fused gates, as in
+Haener & Steiger, arXiv:1704.01127), and the top qubit's mixer as a reversal
+of the half.  Shots are drawn by one search of sorted keys in the half's
+cumulative distribution, each draw from the flipped half folded back.
 
 Qubits and edges are indexed as WeightedGraph.edge_index() gives them, and
 every per-edge vector here (exact values, shot counts, estimates) is a
@@ -82,10 +82,12 @@ class Angles:
 class _EdgeTerms:
     """Per-edge coupling rows for vectorized evaluation of a_e and b_e.
 
-    Row e of ``ru`` (``rv``) is the coupling row of edge e's endpoint u (v)
-    with columns u and v zeroed, cut to the columns where either row is
-    nonzero, in order, and padded with zeros: an absent coupling contributes
-    cos 0 = 1 to every product.
+    Row e of ru (rv) is the coupling row of edge e's endpoint u (v) with
+    columns u and v zeroed, cut to the columns where either row is nonzero,
+    in order, and padded with zeros: an absent coupling contributes cos 0 = 1
+    to every product.  ``rows`` indexes ru, rv, ru + rv and ru - rv into
+    ``values``, their distinct entries, so ``ab`` takes one cosine per value
+    and gathers each E x w block: the same doubles, in the same order.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -96,17 +98,17 @@ class _EdgeTerms:
         ru[edge, ends[:, 1]] = rv[edge, ends[:, 0]] = 0.0
         live = (ru != 0.0) | (rv != 0.0)
         cols = np.argsort(~live, axis=1, kind="stable")[:, : live.sum(axis=1).max(initial=0)]
-        self.ru, self.rv = ru[edge[:, None], cols], rv[edge[:, None], cols]
-        self.rsum, self.rdiff = self.ru + self.rv, self.ru - self.rv
+        ru, rv = ru[edge[:, None], cols], rv[edge[:, None], cols]
+        stacked = np.stack([ru, rv, ru + rv, ru - rv])
+        self.values, inverse = np.unique(stacked, return_inverse=True)
+        self.rows = inverse.reshape(stacked.shape)
 
     def ab(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Structure coefficients a_e, b_e for each gamma; shape (len(gammas), E)."""
-        g2 = 2.0 * np.asarray(gammas, dtype=float).reshape(-1, 1, 1)
-        pu = np.cos(g2 * self.ru).prod(axis=2)
-        pv = np.cos(g2 * self.rv).prod(axis=2)
-        a = 0.5 * np.sin(g2[:, :, 0] * self.j) * (pu + pv)
-        tp = np.cos(g2 * self.rsum).prod(axis=2)
-        tm = np.cos(g2 * self.rdiff).prod(axis=2)
+        g2 = 2.0 * np.asarray(gammas, dtype=float).reshape(-1, 1)
+        cos = np.cos(g2 * self.values)
+        pu, pv, tp, tm = (cos[:, rows].prod(axis=2) for rows in self.rows)
+        a = 0.5 * np.sin(g2 * self.j) * (pu + pv)
         return a, -0.5 * (tp - tm)
 
 
@@ -320,8 +322,16 @@ def _mixer_factors(beta: float, width: int) -> list[np.ndarray]:
     u = np.array([[c, -1j * s], [-1j * s, c]])
     factors = [u]
     for _ in range(width - 1):
-        factors.append(np.kron(factors[-1], u))
+        f = factors[-1]  # the Kronecker product f (x) u, by one broadcast multiply
+        factors.append((f[:, None, :, None] * u[None, :, None, :]).reshape(2 * len(f), -1))
     return factors
+
+
+def _search_keys(cum: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The k values whose searches in ``cum`` draw k folded indices (see _sample_indices)."""
+    u = rng.random(k)
+    w = np.nextafter(2 * cum[-1] - u, -np.inf)
+    return np.minimum(u, w, out=w)
 
 
 def _sample_indices(cum: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -336,11 +346,9 @@ def _sample_indices(cum: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     index returned is the full-space search's, complemented when its top
     bit is set, which leaves every disagreement count as it was, and the
     stream is consumed as one rng.random(k).  Every searched value is
-    below S, so every index is below len(cum).
+    below S, so every index is below len(cum).  Indices come in draw order.
     """
-    u = rng.random(k)
-    w = np.nextafter(2 * cum[-1] - u, -np.inf)
-    return np.searchsorted(cum, np.minimum(u, w, out=w), side="right")
+    return np.searchsorted(cum, _search_keys(cum, k, rng), side="right")
 
 
 @dataclass
@@ -409,10 +417,15 @@ class CorrelationSampler:
         return self._cum
 
     def draw(self, k: int, rng: np.random.Generator) -> ShotPool:
+        """k shots.  Statevector keys are searched sorted, a faster search that
+        finds _sample_indices's indices in another order: the same counts."""
         if k < 1:
             raise ValueError("need at least one shot")
         if self.mode == MODE_STATEVECTOR:
-            idx = _sample_indices(self.cumulative_probs(), k, rng)
+            cum = self.cumulative_probs()
+            keys = _search_keys(cum, k, rng)
+            keys.sort()
+            idx = np.searchsorted(cum, keys, side="right")
             bits = ((idx >> np.arange(self.graph.node_count)[:, None]) & 1).astype(np.uint8)
             ends, _ = self.graph.edge_index()
             flips = bits[ends[:, 0]] ^ bits[ends[:, 1]]

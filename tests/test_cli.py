@@ -125,6 +125,36 @@ class TestScreenCalibrate:
         assert run("calibrate", "--instance", str(tmp_path / "nope.json")) == EXIT_MISSING
 
 
+class TestEmptyInstanceDirectory:
+    """A directory holding no instance is a usage error, named, before anything is written."""
+
+    @staticmethod
+    def empty_dir(tmp_path):
+        d = tmp_path / "instances"
+        d.mkdir()
+        (d / "n10d04s3.cap.json").write_text("{}\n")  # a calibration file is not an instance
+        return d
+
+    def check(self, capsys, tmp_path, d, code):
+        assert code == EXIT_USAGE
+        assert f"no instance file in directory {d}" in capsys.readouterr().err
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+            Path("instances"), Path("instances/n10d04s3.cap.json")]
+
+    def test_screen(self, tmp_path, capsys):
+        d = self.empty_dir(tmp_path)
+        self.check(capsys, tmp_path, d, run("screen", "--instances", str(d)))
+
+    def test_calibrate(self, tmp_path, capsys):
+        d = self.empty_dir(tmp_path)
+        self.check(capsys, tmp_path, d, run("calibrate", "--instance", str(d)))
+
+    def test_eval(self, tmp_path, capsys):
+        d = self.empty_dir(tmp_path)
+        self.check(capsys, tmp_path, d, run("eval", "--instances", str(d), "--policies", "uniform",
+                                            "--cap", "64", "--out", str(tmp_path / "eval")))
+
+
 class TestTrainEvalReport:
     def test_full_workflow(self, pipeline, tmp_path):
         root, inst_path, cap_path = pipeline

@@ -82,6 +82,36 @@ class PaddedEdgeTerms:
         return a, b
 
 
+class RowEdgeTerms:
+    """Reference: the closed form over four compacted row arrays, a cosine per entry.
+
+    The E x w arrays ru, rv, ru + rv and ru - rv that _EdgeTerms held before
+    it shared one cosine among equal arguments: the endpoints' coupling
+    rows with columns u and v zeroed, cut to the columns where either row
+    is nonzero, in order, and padded with zeros.
+    """
+
+    def __init__(self, g):
+        ends, self.j = g.edge_index()
+        rows = g.coupling_matrix()
+        ru, rv = rows[ends[:, 0]], rows[ends[:, 1]]
+        edge = np.arange(len(ends))
+        ru[edge, ends[:, 1]] = rv[edge, ends[:, 0]] = 0.0
+        live = (ru != 0.0) | (rv != 0.0)
+        cols = np.argsort(~live, axis=1, kind="stable")[:, : live.sum(axis=1).max(initial=0)]
+        self.ru, self.rv = ru[edge[:, None], cols], rv[edge[:, None], cols]
+        self.rsum, self.rdiff = self.ru + self.rv, self.ru - self.rv
+
+    def ab(self, gammas):
+        g2 = 2.0 * np.asarray(gammas, dtype=float).reshape(-1, 1, 1)
+        pu = np.cos(g2 * self.ru).prod(axis=2)
+        pv = np.cos(g2 * self.rv).prod(axis=2)
+        a = 0.5 * np.sin(g2[:, :, 0] * self.j) * (pu + pv)
+        tp = np.cos(g2 * self.rsum).prod(axis=2)
+        tm = np.cos(g2 * self.rdiff).prod(axis=2)
+        return a, -0.5 * (tp - tm)
+
+
 def unfold(half):
     """The full state from the half with the top qubit at 0: psi(~x) = psi(x)."""
     return np.concatenate([half, half[::-1]])
@@ -241,6 +271,18 @@ class TestStatevector:
                             for q in range(b))
                 assert np.max(np.abs(factor - linalg.expm(-1j * beta * sum_x))) < 1e-12
 
+    def test_mixer_factors_equal_kron_products(self):
+        # the broadcast products are np.kron's to the last bit
+        for beta in (0.1, 0.7, 1.3, 2.9):
+            for width in range(1, 6):
+                factors = _mixer_factors(beta, width)
+                want = factors[:1]
+                for _ in range(width - 1):
+                    want.append(np.kron(want[-1], factors[0]))
+                assert len(factors) == width
+                for got, kron in zip(factors, want):
+                    assert got.shape == kron.shape and np.array_equal(got, kron)
+
     def test_matches_dense_matrix_exponentials(self, rng):
         for n in range(1, 6):
             for _ in range(3):
@@ -319,6 +361,48 @@ class TestClosedForm:
             for got, want in zip(terms.ab(gammas), padded.ab(gammas)):
                 assert got.shape == want.shape == (len(gammas), g.edge_count)
                 assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+
+
+def coupling_graphs(rng):
+    """Random graphs on 2 to 22 nodes with tied integer, Gaussian and 1e-3 couplings."""
+    scales = [
+        lambda: float(rng.choice([-2, -1, 1, 2])),
+        lambda: float(rng.standard_normal()),
+        lambda: 1e-3 * float(rng.choice([-2, -1, 1, 2])),
+        lambda: 1e-3 * float(rng.standard_normal()),
+    ]
+    graphs = []
+    for n in range(2, 23):
+        p = rng.uniform(0.2, 0.9) if n <= 12 else rng.uniform(0.1, 0.4)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        graphs += [WeightedGraph(range(n), {e: coupling() for e in pairs}) for coupling in scales]
+    return graphs
+
+
+class TestDistinctCosines:
+    """_EdgeTerms, one cosine per distinct argument, against RowEdgeTerms bit for bit."""
+
+    def test_ab_equals_row_arrays_bit_for_bit(self, rng):
+        graphs = coupling_graphs(rng) + reduced_graphs(60, np.random.default_rng(5))
+        grid = np.linspace(0.0, 2 * np.pi, ANGLE_GRID_POINTS, endpoint=False)
+        for g in graphs:
+            terms, rows = _EdgeTerms(g), RowEdgeTerms(g)
+            assert np.array_equal(terms.j, rows.j)
+            assert np.array_equal(terms.values[terms.rows],
+                                  np.stack([rows.ru, rows.rv, rows.rsum, rows.rdiff]))
+            singles = [np.array([x]) for x in rng.uniform(0, 2 * np.pi, 4)]
+            for gammas in [grid, rng.uniform(0, 2 * np.pi, 16), *singles]:
+                for got, want in zip(terms.ab(gammas), rows.ab(gammas)):
+                    assert got.shape == want.shape == (len(gammas), g.edge_count)
+                    assert np.array_equal(got, want)
+
+    def test_optimize_angles_equals_row_array_search(self, monkeypatch):
+        graphs = [g for g in coupling_graphs(np.random.default_rng(16)) if g.edge_count > 0]
+        graphs += reduced_graphs(40, np.random.default_rng(847))
+        got = [optimize_angles(g) for g in graphs]
+        monkeypatch.setattr(qaoa, "_EdgeTerms", RowEdgeTerms)
+        want = [optimize_angles(g) for g in graphs]
+        assert [bits(a.gamma, a.beta) for a in got] == [bits(a.gamma, a.beta) for a in want]
 
 
 def energy_grid(g, gammas, betas):
@@ -604,6 +688,22 @@ class TestSampling:
         u = np.concatenate([rng.random(1 << 16), [cum[-1], 0.0], cum[: 64]])
         want = fold(full_space_indices(full, u.size, Stream(u)), n)
         assert np.array_equal(_sample_indices(cum, u.size, Stream(u)), want)
+
+    @pytest.mark.parametrize("k", [1, 16, 803, 4096])
+    def test_sorted_draw_counts_equal_stream_order_counts(self, k):
+        # draw searches its keys sorted: _sample_indices's indices in another order,
+        # from the same one rng.random(k)
+        for n, d in ((6, 3), (12, 5), (14, 8)):
+            g = generate_regular_gaussian(n, d, seed=847)
+            sampler = CorrelationSampler(g, optimize_angles(g), mode=MODE_STATEVECTOR)
+            ends, _ = g.edge_index()
+            for seed in range(3):
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                pool = sampler.draw(k, ours)
+                flips = index_bits(_sample_indices(sampler.cumulative_probs(), k, ref), n)
+                want = (flips[:, ends[:, 0]] ^ flips[:, ends[:, 1]]).sum(axis=0)
+                assert pool.shots == k and np.array_equal(pool.disagree, want)
+                assert ours.bit_generator.state == ref.bit_generator.state
 
     def test_cumulative_probs_equal_unfused_expression(self):
         # squaring, normalising and summing in place must not change a bit
