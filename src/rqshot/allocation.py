@@ -63,40 +63,39 @@ def compose(baseline_index: int, residual_action: int, cap: int, k_probe: int) -
     )
 
 
+# action indices in tie-break order: toward action 0, then the smaller action
+_TIE_ORDER = sorted(range(N_ACTIONS), key=lambda i: (abs(ACTIONS[i]), ACTIONS[i]))
+
+
+def best_action(row: Sequence[float]) -> int:
+    """The index of row's largest value, ties broken toward action 0, then the smaller action.
+
+    The tie-break makes a zero-initialized table behave exactly like the
+    heuristic (residual 0) and biases remaining ties toward fewer shots.
+    """
+    return max(_TIE_ORDER, key=row.__getitem__)
+
+
 def greedy_action(
     q1: Mapping[tuple, Sequence[float]],
     q2: Mapping[tuple, Sequence[float]],
     s: DiscreteState,
 ) -> int:
-    """argmax over Q1+Q2 with ties broken toward 0, then the smaller action.
-
-    The tie-break makes a zero-initialized table behave exactly like the
-    heuristic (residual 0) and biases remaining ties toward fewer shots.
-    """
+    """The action of best_action over Q1+Q2; a state neither table holds reads as zeros."""
     key = s.as_tuple()
     zeros = (0.0,) * N_ACTIONS
     v1 = q1.get(key, zeros)
     v2 = q2.get(key, zeros)
-    totals = [v1[i] + v2[i] for i in range(N_ACTIONS)]
-    best = max(totals)
-    candidates = [ACTIONS[i] for i in range(N_ACTIONS) if totals[i] == best]
-    return min(candidates, key=lambda a: (abs(a), a))
+    return ACTIONS[best_action([v1[i] + v2[i] for i in range(N_ACTIONS)])]
 
 
 class UniformPolicy:
-    """Spend the cap regardless of state."""
+    """Spend the cap regardless of state: the top rung of the ladder."""
 
     name = "uniform"
 
     def decide(self, state, disc, cap, k_probe, rng=None) -> AllocationDecision:
-        if cap < 1:
-            raise ValueError("cap must be positive")
-        return AllocationDecision(
-            baseline_index=N_ACTIONS - 1,
-            residual=0,
-            final_index=N_ACTIONS - 1,
-            shots=cap,
-        )
+        return compose(N_ACTIONS - 1, 0, cap, k_probe)
 
 
 class HeuristicPolicy:

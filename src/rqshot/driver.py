@@ -47,6 +47,7 @@ from .qaoa import (
     MODE_BINOMIAL,
     MODE_EXACT,
     MODE_STATEVECTOR,
+    STATEVECTOR_MAX_QUBITS,
     STATEVECTOR_SAMPLING_THRESHOLD,
     Angles,
     CorrelationSampler,
@@ -71,6 +72,9 @@ class DriverConfig:
             raise ValueError(f"n_c must be at least 1, got {self.n_c}")
         if self.sampling_mode not in (MODE_AUTO, MODE_EXACT, MODE_STATEVECTOR, MODE_BINOMIAL):
             raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
+        if not 0 <= self.sv_threshold <= STATEVECTOR_MAX_QUBITS:
+            raise ValueError(f"sv_threshold must be in [0, {STATEVECTOR_MAX_QUBITS}], "
+                             f"got {self.sv_threshold}")
         if self.zgap_variant not in (ZGAP_LITERAL, ZGAP_RELATIVE):
             raise ValueError(f"unknown zgap variant {self.zgap_variant!r}")
         if self.k_top < 1:
@@ -93,7 +97,6 @@ class _Node:
     """A reduced graph and what steps computed on it; children by (edge position, sign)."""
 
     graph: WeightedGraph
-    key: tuple
     angles: Angles | None = None
     exact: np.ndarray | None = None
     residual: dict[int, int] | None = None
@@ -103,18 +106,18 @@ class _Node:
 class StepCache:
     """Per-instance graph of nodes, one per reduced graph its episodes reach.
 
-    A node holds its WeightedGraph and signature, angles, exact correlation
-    values, residual assignment (brute-forced once) and children.  An episode
-    finds its instance's node by signature, and other nodes only when it
-    first takes a contraction, so two orders that reach one graph share its
-    node.  Nodes are small and kept unbounded.  Cumulative probabilities,
-    2^(n-1) floats per graph (the half state, see qaoa.statevector_depth1),
-    live in an LRU keyed by signature and bounded at about 2^24 floats.
+    A node holds its WeightedGraph, angles, exact correlation values,
+    residual assignment (brute-forced once) and children.  An episode finds
+    its instance's node by signature, and other nodes only when it first
+    takes a contraction, so two orders that reach one graph share its node.
+    Nodes are small and kept unbounded.  Cumulative probabilities, 2^(n-1)
+    floats per graph (the half state, see qaoa.statevector_depth1), live in
+    an LRU keyed by node and bounded at about 2^24 floats.
     """
 
     def __init__(self):
         self._nodes: dict[tuple, _Node] = {}
-        self._probs: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._probs: OrderedDict[_Node, np.ndarray] = OrderedDict()
         self._max_prob: int | None = None
 
     def node(self, g: WeightedGraph) -> _Node:
@@ -122,36 +125,29 @@ class StepCache:
         key = g.signature()
         node = self._nodes.get(key)
         if node is None:
-            node = self._nodes[key] = _Node(g, key)
+            node = self._nodes[key] = _Node(g)
         return node
 
-    def descend(self, node: _Node, red: ReducedInstance, i: int,
-                rec: ContractionRecord) -> tuple[_Node, ReducedInstance]:
-        """The node that rec, on edge i of node's graph, leads to, and contract(red, rec).
-
-        A contraction taken here before is read off the child, with the same
-        coupling contract reads, so the result equals contract's bit for bit.
-        """
+    def descend(self, node: _Node, i: int, rec: ContractionRecord) -> _Node:
+        """The child that rec, on edge i of node's graph, leads to; contract builds it on first sight."""
         child = node.children.get((i, rec.sign))
         if child is None:
-            red = contract(red, rec)
-            child = node.children[i, rec.sign] = self.node(red.graph)
-            return child, red
-        j_uv = float(node.graph.edge_index()[1][i])
-        return child, ReducedInstance(child.graph, red.offset + rec.sign * j_uv, red.stack + (rec,))
+            g = contract(ReducedInstance.fresh(node.graph), rec).graph
+            child = node.children[i, rec.sign] = self.node(g)
+        return child
 
-    def probs_get(self, key: tuple) -> np.ndarray | None:
-        if key not in self._probs:
+    def probs_get(self, node: _Node) -> np.ndarray | None:
+        if node not in self._probs:
             return None
-        self._probs.move_to_end(key)
-        return self._probs[key]
+        self._probs.move_to_end(node)
+        return self._probs[node]
 
-    def probs_put(self, key: tuple, value: np.ndarray) -> None:
+    def probs_put(self, node: _Node, value: np.ndarray) -> None:
         if self._max_prob is None:
             # keep total cached floats around 2^24 regardless of state size
             self._max_prob = max(16, (1 << 24) // max(1, len(value)))
-        self._probs[key] = value
-        self._probs.move_to_end(key)
+        self._probs[node] = value
+        self._probs.move_to_end(node)
         while len(self._probs) > self._max_prob:
             self._probs.popitem(last=False)
 
@@ -227,6 +223,9 @@ def check_episode(inst: Instance, cap: int, cfg: DriverConfig) -> int:
         raise ValueError(f"{inst.instance_id} has no recorded optimum; screen it first")
     if inst.n <= cfg.n_c:
         raise ValueError(f"{inst.instance_id}: size {inst.n} not above classical threshold {cfg.n_c}")
+    if cfg.sampling_mode == MODE_STATEVECTOR and inst.n > STATEVECTOR_MAX_QUBITS:
+        raise ValueError(f"{inst.instance_id}: {MODE_STATEVECTOR} is limited to "
+                         f"{STATEVECTOR_MAX_QUBITS} qubits, got {inst.n}")
     k_probe = probe_shot_count(inst.n)
     if cap < k_probe:
         raise ValueError(f"{inst.instance_id}: cap {cap} below probe size {k_probe}")
@@ -247,9 +246,8 @@ def run_episode(
     cache = cache if cache is not None else StepCache()
 
     node = cache.node(inst.graph)
-    red = ReducedInstance.fresh(node.graph)
+    stack: list[ContractionRecord] = []
     steps: list[StepLog] = []
-    total_shots = 0
     early_exhausted = False
 
     while node.graph.node_count > cfg.n_c:
@@ -261,7 +259,7 @@ def run_episode(
 
         if node.angles is None:
             node.angles = optimize_angles(g)
-        cum = cache.probs_get(node.key)
+        cum = cache.probs_get(node)
         sampler = CorrelationSampler(
             g,
             node.angles,
@@ -294,12 +292,13 @@ def run_episode(
         if sampler.mode != MODE_STATEVECTOR:
             node.exact = sampler.exact_values()
         elif cum is None:
-            cache.probs_put(node.key, sampler.cumulative_probs())
+            cache.probs_put(node, sampler.cumulative_probs())
 
         order = edge_order(main_est)
         elim, kept, sign = select_edge(g, main_est, order)
         rec = ContractionRecord(eliminated=elim, kept=kept, sign=sign)
-        node, red = cache.descend(node, red, int(order[0]), rec)
+        stack.append(rec)
+        node = cache.descend(node, int(order[0]), rec)
         steps.append(
             StepLog(
                 step=len(steps) + 1,
@@ -316,19 +315,18 @@ def run_episode(
                 top_two=tuple(np.abs(main_est[order[:2]]).tolist()),
             )
         )
-        total_shots += k_t
 
     while len(steps) < n - cfg.n_c:
         steps.append(StepLog(step=len(steps) + 1, m=node.graph.node_count, trivial=True))
 
     if node.residual is None:
         node.residual = brute_force_optimum(node.graph)[1]
-    full = reconstruct_assignment(red.stack, node.residual)
+    full = reconstruct_assignment(stack, node.residual)
     e_out = cut_value(inst.graph, full)
     sigma = success(e_out, inst.e_opt, cfg.rho_star)
     return EpisodeResult(
         steps=steps,
-        total_shots=total_shots,
+        total_shots=sum(s.shots for s in steps),
         e_out=e_out,
         e_opt=inst.e_opt,
         sigma=sigma,

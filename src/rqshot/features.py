@@ -83,14 +83,6 @@ class BinBoundaries:
             if list(edges) != sorted(edges):
                 raise ValueError(f"{name} must be in ascending order, got {edges}")
 
-    @property
-    def zeta_bins(self) -> int:
-        return len(self.zeta_edges) + 1
-
-    @property
-    def kappa_bins(self) -> int:
-        return len(self.kappa_edges) + 1
-
 
 def probe_shot_count(n: int) -> int:
     """Probe shots by original instance size: 16 up to n=16, 32 above."""

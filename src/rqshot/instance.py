@@ -14,11 +14,11 @@ the coupling matrix and `reconstruct_assignment` undoes a whole stack of
 them.  `hop_distance` is the breadth-first hop count between qubit sets.
 
 `brute_force_optimum` is the exact Max-Cut solver behind every instance's
-optimum and every episode's residual.  It builds a table of cut values by
-doubling over qubits, one chunk of at most 2^18 entries per setting of the
-highest qubits, and rescores the masks that come within a rounding bound of
-each chunk's maximum in edge order, so its cut and tie-break are those of a
-plain edge-by-edge sum.
+optimum and every episode's residual, on one path at every size.  It builds
+a table of cut values by doubling over qubits, one chunk of at most 2^18
+entries per setting of the highest qubits, and rescores the masks that come
+within a rounding bound of each chunk's maximum in edge order, so its cut
+and tie-break are those of a plain edge-by-edge sum.
 """
 
 from __future__ import annotations
@@ -323,13 +323,11 @@ def brute_force_optimum(g: WeightedGraph) -> tuple[float, dict[int, int]]:
     left to right in edge order from 0.0, and ties break toward the smallest
     mask, which makes the result deterministic.
 
-    A search small enough for one block of `_edge_order_cuts` (an episode's
-    residual) scores every mask that way.  A larger one goes through the
-    doubled table of `_doubled_search`, whose sums add the couplings in
-    another order, so masks that tie exactly can differ there by an ulp; it
-    rescores in edge order every mask within tol of its chunk's maximum,
-    tol being at least twice the largest gap between the two orders, and
-    returns the best rescored cut.
+    Every search, an episode's residual included, runs `_doubled_search`.
+    Its table adds the couplings in another order, so masks that tie exactly
+    can differ there by an ulp; it rescores in edge order every mask within
+    tol of its chunk's maximum, tol being at least twice the largest gap
+    between the two orders, and returns the best rescored cut.
     """
     n = g.node_count
     if n == 0:
@@ -340,15 +338,7 @@ def brute_force_optimum(g: WeightedGraph) -> tuple[float, dict[int, int]]:
     if g.edge_count == 0:
         return 0.0, {u: 1 for u in nodes}
 
-    ends, weights = g.edge_index()
-    total = 1 << (n - 1)
-    if total * (n + len(weights) + 1) <= _RESCORE_BLOCK:
-        cuts = _edge_order_cuts(np.arange(total, dtype=np.int64), n, ends, weights)
-        best_mask = int(np.argmax(cuts))
-        best_cut = float(cuts[best_mask])
-    else:
-        best_cut, best_mask = _doubled_search(n, ends, weights)
-
+    best_cut, best_mask = _doubled_search(n, *g.edge_index())
     assignment = {nodes[0]: 1}
     for i in range(1, n):
         assignment[nodes[i]] = -1 if (best_mask >> (i - 1)) & 1 else 1

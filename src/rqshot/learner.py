@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import ACTIONS, N_ACTIONS, RLPolicy, compose, greedy_action, heuristic_index
+from .allocation import (ACTIONS, N_ACTIONS, RLPolicy, best_action, compose, greedy_action,
+                         heuristic_index)
 from .benchmark import TrialSummary
 from .driver import DriverConfig, StepCache, check_episode, run_episode
 from .features import BinBoundaries, DiscreteState
@@ -43,10 +44,7 @@ class QTables:
     q2: dict[tuple, list[float]] = field(default_factory=dict)
 
     def row(self, which: int, s: tuple) -> list[float]:
-        table = self.q1 if which == 1 else self.q2
-        if s not in table:
-            table[s] = [0.0] * N_ACTIONS
-        return table[s]
+        return (self.q1 if which == 1 else self.q2).setdefault(s, [0.0] * N_ACTIONS)
 
     def lookup(self, which: int, s: tuple) -> list[float]:
         table = self.q1 if which == 1 else self.q2
@@ -92,8 +90,7 @@ def double_q_update(
         target = reward
     else:
         next_key = s_next.as_tuple()
-        row_i = tables.lookup(i, next_key)
-        best = max(range(N_ACTIONS), key=lambda k: (row_i[k], -abs(ACTIONS[k]), -ACTIONS[k]))
+        best = best_action(tables.lookup(i, next_key))
         target = reward + discount * tables.lookup(j, next_key)[best]
     row = tables.row(i, key)
     row[a_idx] = (1 - alpha) * row[a_idx] + alpha * target
@@ -355,10 +352,7 @@ def train(
             if best is None or rank < best[0]:
                 best = (rank, tables.copy(), record)
 
-    if best is None:
-        final_tables, final_record = tables, None
-    else:
-        final_tables, final_record = best[1], best[2]
+    final_tables, final_record = (tables, {}) if best is None else best[1:]
 
     return PolicyCheckpoint(
         qtables=final_tables,
@@ -367,9 +361,9 @@ def train(
         n=inst.n,
         n_c=driver_cfg.n_c,
         instance_id=inst.instance_id,
-        validation_sr=None if final_record is None else final_record["sr"],
-        validation_median_shots=None if final_record is None else final_record["median_shots"],
-        validation_mean_shots=None if final_record is None else final_record["mean_shots"],
+        validation_sr=final_record.get("sr"),
+        validation_median_shots=final_record.get("median_shots"),
+        validation_mean_shots=final_record.get("mean_shots"),
         lambda_trace=list(controller.trace),
         validation_history=history,
     )

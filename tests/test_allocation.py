@@ -1,5 +1,7 @@
 import itertools
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +9,12 @@ from hypothesis import strategies as st
 from rqshot.allocation import (
     ACTIONS,
     FRACTIONS,
+    N_ACTIONS,
+    AllocationDecision,
     HeuristicPolicy,
     RLPolicy,
     UniformPolicy,
+    best_action,
     compose,
     greedy_action,
     heuristic_index,
@@ -97,6 +102,18 @@ class TestUniform:
             d = p.decide(state(zeta=z), DiscreteState(0, 0, 0, 0), 300, 16)
             assert d.shots == 300
 
+    def test_equals_compose_at_the_top_rung(self):
+        # the full cap is the top rung of the ladder, resolved by the one shot rule
+        for cap, k_probe in ((16, 16), (17, 16), (32, 32), (301, 16), (4096, 32)):
+            d = UniformPolicy().decide(state(), DiscreteState(0, 0, 0, 0), cap, k_probe)
+            assert asdict(d) == asdict(compose(N_ACTIONS - 1, 0, cap, k_probe))
+            assert d == AllocationDecision(baseline_index=N_ACTIONS - 1, residual=0,
+                                           final_index=N_ACTIONS - 1, shots=cap)
+
+    def test_cap_below_probe_raises(self):
+        with pytest.raises(ValueError):
+            UniformPolicy().decide(state(), DiscreteState(0, 0, 0, 0), 31, 32)
+
 
 class TestGreedyTieBreak:
     def test_zero_tables_choose_zero(self):
@@ -111,6 +128,42 @@ class TestGreedyTieBreak:
         key = (0, 0, 0, 0)
         q = {key: [1.0, 0, 1.0, 0, 1.0, 0]}  # actions -3, -1, +1 tied
         assert greedy_action(q, {}, DiscreteState(*key)) == -1
+
+
+def greedy_sum_tie_break(row):
+    """Reference: the greatest value's actions, then the action nearest 0, then the smaller."""
+    top = max(row)
+    return min((ACTIONS[i] for i in range(N_ACTIONS) if row[i] == top), key=lambda a: (abs(a), a))
+
+
+def keyed_max_tie_break(row):
+    """Reference: the index maximising (value, -|action|, -action)."""
+    return max(range(N_ACTIONS), key=lambda k: (row[k], -abs(ACTIONS[k]), -ACTIONS[k]))
+
+
+class TestBestAction:
+    def check(self, row):
+        i = best_action(row)
+        assert ACTIONS[i] == greedy_sum_tie_break(row)
+        assert i == keyed_max_tie_break(row)
+
+    def test_equals_both_tie_breaks_on_every_tied_row(self):
+        # every row over four values, signed zeros included, so each tie pattern occurs
+        for row in itertools.product((-1.0, -0.0, 0.0, 0.5), repeat=N_ACTIONS):
+            self.check(list(row))
+
+    def test_equals_both_tie_breaks_on_random_rows(self):
+        rng = np.random.default_rng(17)
+        for _ in range(5000):
+            pool = np.r_[-0.0, 0.0, rng.standard_normal(2)]
+            self.check(rng.choice(pool, N_ACTIONS).tolist())
+            self.check(rng.standard_normal(N_ACTIONS).tolist())
+
+    def test_greedy_action_reads_the_sum_of_both_tables(self):
+        key = (1, 2, 3, 4)
+        q1 = {key: [0.0, 1.0, -0.0, 0.0, 2.0, 0.5]}
+        q2 = {key: [0.0, 1.0, 0.0, -0.0, 0.0, 1.5]}
+        assert greedy_action(q1, q2, DiscreteState(*key)) == 1  # +1 and +2 tie at 2.0
 
 
 class TestPolicies:

@@ -387,6 +387,29 @@ class TestKnobsTakeEffect:
                    "--out", str(out)) == expected
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["screen", "calibrate", "train", "eval"])
+    def test_statevector_mode_above_its_qubit_limit_is_usage_error(self, tmp_path, capsys, command):
+        # statevector_sampled cannot take effect on 24 qubits, so nothing runs or is written
+        inst_dir, out = tmp_path / "inst", tmp_path / "out"
+        assert run("gen", "-n", "24", "-d", "3", "--seed", "5", "--out", str(inst_dir)) == EXIT_OK
+        inst_path = next(inst_dir.glob("*.json"))
+        before = inst_path.read_bytes()
+        ini = tmp_path / "run.ini"
+        ini.write_text("[sampling]\nmode = statevector_sampled\n")
+        argv = {
+            "screen": ("screen", "--instances", str(inst_dir)),
+            "calibrate": ("calibrate", "--instance", str(inst_path), "--out", str(out)),
+            "train": ("train", "--instance", str(inst_path), "--cap", "64", "--out", str(out)),
+            "eval": ("eval", "--instances", str(inst_dir), "--policies", "uniform", "--cap", "64",
+                     "--out", str(out)),
+        }[command]
+        capsys.readouterr()
+        assert run("--config", str(ini), *argv) == EXIT_USAGE
+        assert "statevector_sampled is limited to 22 qubits" in capsys.readouterr().err
+        assert not out.exists()
+        assert inst_path.read_bytes() == before
+        assert sorted(p.name for p in inst_dir.iterdir()) == [inst_path.name]
+
     def test_parallel_eval_logs_match_serial(self, pipeline, tmp_path, monkeypatch):
         # a single instance runs in-process whatever --jobs says
         _, inst_path, cap_path = pipeline
@@ -714,13 +737,16 @@ class TestConfigFile:
         "[train]\nextra_fail_penalty = -5\n",
         "[run]\njobs = 0\n",
         "[run]\njobs = -3\n",
+        "[sampling]\nsv_threshold = 40\n",
+        "[sampling]\nsv_threshold = -1\n",
     ]] + [("", ("--jobs", "0"))],
         ids=["k_top-zero", "unknown-mode", "unknown-zgap-variant", "negative-n_c", "dist_bins-zero",
              "descending-edges", "eval_trials-zero", "screen_trials-zero", "cal_trials-zero",
              "screen_cap-zero", "cal_resolution-zero", "empty-cap-grid", "descending-cap-grid",
              "validation_trials-zero", "negative-episodes", "epsilon-above-one", "negative-lambda0",
              "alpha-above-one", "discount-above-one", "negative-ema_beta", "p_star-above-one",
-             "negative-mu_lambda", "negative-eta", "negative-extra_fail_penalty", "jobs-zero", "negative-jobs", "jobs-flag-zero"])
+             "negative-mu_lambda", "negative-eta", "negative-extra_fail_penalty", "jobs-zero", "negative-jobs",
+             "sv_threshold-above-max-qubits", "negative-sv_threshold", "jobs-flag-zero"])
     def test_out_of_range_value_is_usage_error(self, pipeline, tmp_path, capsys, text, flags):
         _, inst_path, cap_path = pipeline
         ini = tmp_path / "range.ini"
@@ -734,16 +760,22 @@ class TestConfigFile:
     @pytest.mark.parametrize("build", [
         lambda: replace(DriverConfig(), k_top=0),
         lambda: DriverConfig(sampling_mode="sampled"),
+        lambda: DriverConfig(sv_threshold=23),
+        lambda: DriverConfig(sv_threshold=-1),
         lambda: BinBoundaries(dist_bins=0),
         lambda: replace(TrainConfig.preset("aggressive"), validation_trials=0),
         lambda: replace(TrainConfig(), alpha=1.5),
         lambda: TrainConfig(extra_fail_penalty=-1.0),
         lambda: bm.ProtocolConfig(cap_grid=(64, 64)),
-    ], ids=["driver-replace", "driver", "bins", "train-replace", "train-alpha", "train-penalty",
-            "protocol"])
+    ], ids=["driver-replace", "driver", "driver-sv_threshold-above", "driver-sv_threshold-below",
+            "bins", "train-replace", "train-alpha", "train-penalty", "protocol"])
     def test_dataclasses_check_their_ranges(self, build):
         with pytest.raises(ValueError):
             build()
+
+    def test_sv_threshold_range_is_inclusive(self):
+        for sv in (0, 22):
+            assert DriverConfig(sv_threshold=sv).sv_threshold == sv
 
     @pytest.mark.parametrize("text", [
         "[run]\nn_c = 6\nn_c = 7\n",

@@ -239,6 +239,7 @@ class TestStepCacheNodes:
         assert calls == {"optimize_angles": 4, "brute_force_optimum": 1}
 
     def test_hit_path_equals_contract_bit_for_bit(self):
+        # contract's offset and stack are covered in test_instance.py; a node holds the graph
         rng = np.random.default_rng(11)
         for _ in range(20):
             # couplings of +-1 and 0.5, so that merges also cancel edges exactly
@@ -247,10 +248,9 @@ class TestStepCacheNodes:
                 for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.6
             })
             cache = StepCache()
-            walk = []
+            walk, seen = [], []
             for warm in (False, True):
-                node, red = cache.node(g), ReducedInstance.fresh(g)
-                ref = red
+                node, ref = cache.node(g), ReducedInstance.fresh(g)
                 for step in range(4):
                     if node.graph.edge_count == 0:
                         break
@@ -259,12 +259,12 @@ class TestStepCacheNodes:
                     i, sign = walk[step]
                     rec = edge_record(node.graph, i, sign)
                     ref = contract(ref, rec)
-                    node, red = cache.descend(node, red, i, rec)
-                    for got in (red.graph, node.graph):
-                        assert got.nodes == ref.graph.nodes
-                        for a, b in zip(got.edge_index(), ref.graph.edge_index()):
-                            assert a.dtype == b.dtype and a.shape == b.shape
-                            assert a.tobytes() == b.tobytes()
-                    assert type(red.offset) is float
-                    assert np.float64(red.offset).tobytes() == np.float64(ref.offset).tobytes()
-                    assert red.stack == ref.stack
+                    node = cache.descend(node, i, rec)
+                    assert node.graph.nodes == ref.graph.nodes
+                    for a, b in zip(node.graph.edge_index(), ref.graph.edge_index()):
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes()
+                    if warm:  # read off the children the cold walk made
+                        assert node is seen[step]
+                    else:
+                        seen.append(node)

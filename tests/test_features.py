@@ -177,10 +177,12 @@ class TestDiscretize:
             discretize(StepState(m=15, zeta=1.0, kappa=0.0, dist=0), n=14, n_c=8)
 
     def test_bin_cardinalities(self):
+        # 7 zeta, 5 kappa and 5 distance bins: values past the last edge land in the top bins
         bins = BinBoundaries()
-        assert bins.zeta_bins == 7
-        assert bins.kappa_bins == 5
-        assert bins.dist_bins == 5
+        top = discretize(StepState(m=9, zeta=1e9, kappa=1.0, dist=DIST_SENTINEL), n=14, n_c=8, bins=bins)
+        assert (top.zeta_bin, top.kappa_bin, top.dist_bin) == (6, 4, 4)
+        low = discretize(StepState(m=9, zeta=0.0, kappa=0.0, dist=0), n=14, n_c=8, bins=bins)
+        assert (low.zeta_bin, low.kappa_bin, low.dist_bin) == (0, 0, 0)
 
     def test_key_format(self):
         d = DiscreteState(2, 6, 0, 4)

@@ -310,7 +310,55 @@ def components_graph(sizes, rng, isolated=0):
     return WeightedGraph(range(start), edges)
 
 
+def all_mask_brute_force(g):
+    """Reference: every mask's cut scored by _edge_order_cuts at once, the first maximum kept."""
+    n, nodes = g.node_count, g.nodes
+    ends, weights = g.edge_index()
+    cuts = instance_mod._edge_order_cuts(np.arange(1 << (n - 1), dtype=np.int64), n, ends, weights)
+    best_mask = int(np.argmax(cuts))
+    assignment = {nodes[0]: 1}
+    for i in range(1, n):
+        assignment[nodes[i]] = -1 if (best_mask >> (i - 1)) & 1 else 1
+    return float(cuts[best_mask]), assignment
+
+
+def contracted_residuals(inst, walks, rng):
+    """The graphs of random elimination walks down an instance, at 8 nodes and below."""
+    out = []
+    for _ in range(walks):
+        red = ReducedInstance.fresh(inst.graph)
+        while red.graph.edge_count:
+            g = red.graph
+            if g.node_count <= 8:
+                out.append(g)
+            kept, eliminated = g.edge_list()[int(rng.integers(g.edge_count))]
+            red = contract(red, ContractionRecord(eliminated, kept, int(rng.choice([-1, 1]))))
+    return out
+
+
 class TestBruteForce:
+    def test_residual_sizes_equal_all_mask_scoring_bit_for_bit(self, rng):
+        graphs = []
+        for n in range(2, 9):
+            for p in (0.3, 0.6, 1.0):
+                for _ in range(4):
+                    graphs.append(random_weighted_graph(n, p, rng))
+                    # couplings of -1, 1 and 2: equal cuts tie exactly
+                    graphs.append(WeightedGraph(range(n), {
+                        e: float(rng.choice([-1.0, 1.0, 2.0]))
+                        for e in itertools.combinations(range(n), 2) if rng.random() < p
+                    }))
+        for n, d in ((14, 8), (16, 3), (16, 5), (22, 3)):
+            graphs += contracted_residuals(generate_instance(n, d, 847, compute_opt=False), 6, rng)
+        checked = 0
+        for g in graphs:
+            if g.edge_count:
+                cut, z = brute_force_optimum(g)
+                ref_cut, ref_z = all_mask_brute_force(g)
+                assert (cut.hex(), z) == (ref_cut.hex(), ref_z)
+                checked += 1
+        assert checked > 300
+
     def test_matches_allocating_reference(self, rng, monkeypatch):
         graphs = [integer_weighted_graph(20, 0.15, rng)]  # two chunks of masks
         for n in range(2, 15):
