@@ -49,6 +49,8 @@ EXIT_MISSING = 3
 
 # the commands that run episodes: they draw their streams from the master seed and read jobs
 EPISODE_COMMANDS = ("screen", "calibrate", "train", "eval")
+# oracle-check enumerates 2^n x E spin products per case, so its sizes stop here
+ORACLE_MAX_QUBITS = 16
 
 
 def _write_json(path: Path, obj) -> None:
@@ -338,6 +340,10 @@ def cmd_oracle_check(args, cfg: RunConfig) -> int:
     equals it exactly.  An estimator sanity check follows.  Nonzero exit on
     any failure.
     """
+    if args.cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
+    if not 2 <= args.n_max <= ORACLE_MAX_QUBITS:
+        raise ValueError(f"--n-max must be 2 to {ORACLE_MAX_QUBITS}, got {args.n_max}")
     rng = make_rng(args.check_seed, "oracle")
     worst = 0.0
     worst_angles = -np.inf

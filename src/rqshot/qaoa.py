@@ -34,9 +34,11 @@ the 2^(n-1) amplitudes with the top qubit at 0.  It builds the phased state
 about 2^n complex multiplies and no trigonometry over the 2^(n-1) entries,
 applies the mixer of the lower qubits five at a time, one matmul by the
 32 x 32 factor exp(-i beta X)^(x)5 per block of qubits (fused gates, as in
-Haener & Steiger, arXiv:1704.01127), and the top qubit's mixer as a reversal
-of the half.  Shots are drawn by one search of sorted keys in the half's
-cumulative distribution, each draw from the flipped half folded back.
+Haener & Steiger, arXiv:1704.01127; the factor is symmetric, so the lowest
+block is one matrix product of the rows of 32 amplitudes by it), and the top
+qubit's mixer as a reversal of the half.  Shots are drawn by one search of
+sorted keys in the half's cumulative distribution, each draw from the
+flipped half folded back.
 
 Qubits and edges are indexed as WeightedGraph.edge_index() gives them, and
 every per-edge vector here (exact values, shot counts, estimates) is a
@@ -259,10 +261,13 @@ def statevector_depth1(g: WeightedGraph, a: Angles) -> np.ndarray:
     exp(-i beta X) on qubits 0..n-2 is applied MIXER_BLOCK_QUBITS qubits at
     a time: the 2^b x 2^b factor U^(x)b acts by one matmul on
     ``amps.reshape(-1, 2**b, 2**lo)``, the axis of qubits lo..lo+b-1,
-    writing into a second buffer of the same size and swapping the two.  On
-    a flip-symmetric state, flipping the top qubit complements the lower
-    ones, which reverses the half, so the top qubit's mixer is
-    cos(beta) psi - i sin(beta) psi[::-1].
+    writing into a second buffer of the same size and swapping the two.
+    Every factor equals its transpose bit for bit (_mixer_factors), so the
+    lowest block, lo = 0, is one matrix product of the rows
+    ``amps.reshape(-1, 2**b)`` by the factor, not 2^(n-1-b) products of
+    the factor by a column.  On a flip-symmetric state, flipping the top
+    qubit complements the lower ones, which reverses the half, so the top
+    qubit's mixer is cos(beta) psi - i sin(beta) psi[::-1].
     """
     n = g.node_count
     if not 0 < n <= STATEVECTOR_MAX_QUBITS:
@@ -273,8 +278,11 @@ def statevector_depth1(g: WeightedGraph, a: Angles) -> np.ndarray:
     factors = _mixer_factors(a.beta, min(n - 1, MIXER_BLOCK_QUBITS))
     for lo in range(0, n - 1, MIXER_BLOCK_QUBITS):
         b = min(MIXER_BLOCK_QUBITS, n - 1 - lo)
-        shape = (-1, 1 << b, 1 << lo)
-        np.matmul(factors[b - 1], amps.reshape(shape), out=spare.reshape(shape))
+        if lo == 0:  # rows of 2^b amplitudes times the symmetric factor: one GEMM
+            np.matmul(amps.reshape(-1, 1 << b), factors[b - 1], out=spare.reshape(-1, 1 << b))
+        else:
+            shape = (-1, 1 << b, 1 << lo)
+            np.matmul(factors[b - 1], amps.reshape(shape), out=spare.reshape(shape))
         amps, spare = spare, amps
     np.multiply(amps[::-1], -1j * np.sin(a.beta), out=spare)
     amps *= np.cos(a.beta)
@@ -317,7 +325,11 @@ def _phase_state(g: WeightedGraph, gamma: float, out: np.ndarray, scratch: np.nd
 
 
 def _mixer_factors(beta: float, width: int) -> list[np.ndarray]:
-    """exp(-i beta X)^(x)b for b = 1..width, each a 2^b x 2^b matrix."""
+    """exp(-i beta X)^(x)b for b = 1..width, each a 2^b x 2^b matrix.
+
+    u is symmetric and each level multiplies entries of symmetric factors in
+    one fixed order, so every factor equals its transpose exactly.
+    """
     c, s = np.cos(beta), np.sin(beta)
     u = np.array([[c, -1j * s], [-1j * s, c]])
     factors = [u]

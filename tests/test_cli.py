@@ -653,6 +653,28 @@ class TestOracleCheckCommand:
         monkeypatch.setattr(cli_mod, "brute_force_optimum", broken)
         assert run("oracle-check", "--n-max", "6", "--cases", "10") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--cases", "0"),
+        ("--cases", "-3"),
+        ("--n-max", "1"),
+        ("--n-max", "17"),
+        ("--n-max", "23", "--cases", "40"),
+    ], ids=["no-cases", "negative-cases", "n-max-1", "n-max-17", "n-max-23"])
+    def test_out_of_range_is_usage_error(self, monkeypatch, capsys, argv):
+        # rejected before any case is generated (n = 23 would enumerate 2^23 x E products)
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(cli, "generate_instance", unreachable)
+        assert run("oracle-check", *argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --")
+
+    @pytest.mark.parametrize("n_max", [2, 16])
+    def test_n_max_range_is_inclusive(self, capsys, n_max):
+        assert run("oracle-check", "--n-max", str(n_max), "--cases", "1") == EXIT_OK
+        assert "over 1 cases" in capsys.readouterr().out
+
 
 class TestUsageErrors:
     def test_unknown_command(self):

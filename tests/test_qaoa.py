@@ -1,3 +1,8 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import linalg, optimize, stats
@@ -14,10 +19,12 @@ from rqshot.instance import (
 )
 from rqshot.qaoa import (
     ANGLE_GRID_POINTS,
+    MIXER_BLOCK_QUBITS,
     MODE_BINOMIAL,
     MODE_EXACT,
     MODE_STATEVECTOR,
     STATEVECTOR_MAX_QUBITS,
+    STATEVECTOR_SAMPLING_THRESHOLD,
     Angles,
     CorrelationSampler,
     ShotPool,
@@ -185,6 +192,36 @@ def phase_state(g, gamma):
     return out
 
 
+def batched_statevector(g, a):
+    """Reference: statevector_depth1 with every mixer block a batched matmul.
+
+    The lowest block too multiplies the factor into each column of
+    ``amps.reshape(-1, 2**b, 1)``: 2^(n-1-b) separate matrix-vector products.
+    """
+    n = g.node_count
+    amps = phase_state(g, a.gamma)
+    factors = _mixer_factors(a.beta, min(n - 1, MIXER_BLOCK_QUBITS))
+    for lo in range(0, n - 1, MIXER_BLOCK_QUBITS):
+        b = min(MIXER_BLOCK_QUBITS, n - 1 - lo)
+        amps = np.matmul(factors[b - 1], amps.reshape(-1, 1 << b, 1 << lo)).reshape(-1)
+    return amps * np.cos(a.beta) + amps[::-1] * (-1j * np.sin(a.beta))
+
+
+def bench_walks(rng):
+    """Graphs of at most STATEVECTOR_SAMPLING_THRESHOLD qubits met along random
+    contraction sequences of the bench instances, down to eight qubits."""
+    graphs = []
+    for n, d in ((14, 8), (16, 3), (16, 5), (22, 3)):
+        red = ReducedInstance.fresh(generate_regular_gaussian(n, d, seed=847))
+        while red.graph.node_count > 8 and red.graph.edge_count > 0:
+            if red.graph.node_count <= STATEVECTOR_SAMPLING_THRESHOLD:
+                graphs.append(red.graph)
+            edges = red.graph.edge_list()
+            u, v = edges[int(rng.integers(len(edges)))]
+            red = contract(red, ContractionRecord(max(u, v), min(u, v), int(rng.choice([-1, 1]))))
+    return graphs
+
+
 def dense_statevector(g, a):
     """Reference: exp(-i beta sum X) exp(-i gamma H) |+>^n with dense matrices.
 
@@ -282,6 +319,46 @@ class TestStatevector:
                 assert len(factors) == width
                 for got, kron in zip(factors, want):
                     assert got.shape == kron.shape and np.array_equal(got, kron)
+
+    def test_mixer_factors_are_symmetric(self):
+        # u is symmetric and each level multiplies symmetric factors in a fixed
+        # order, so every factor equals its transpose to the last bit: the lowest
+        # block may multiply rows of amplitudes by it from the right
+        for beta in (0.1, 0.7, 1.3, 2.9):
+            for factor in _mixer_factors(beta, 5):
+                assert np.array_equal(factor, factor.T)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_lowest_block_gemm_matches_batched_products(self, n):
+        # n = 2..6 gives the lowest block every width from 1 to 5; above that it
+        # is 5 qubits wide over 2^(n-6) rows of 32 amplitudes
+        rng = np.random.default_rng(100 + n)
+        g = random_weighted_graph(n, 0.4, rng)
+        a = Angles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
+        got, want = statevector_depth1(g, a), batched_statevector(g, a)
+        assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-15
+
+    def test_state_bytes_equal_at_one_and_two_blas_threads(self):
+        # byte-identical reruns must not depend on how BLAS splits the GEMM
+        probe = (
+            "import hashlib, sys; sys.path.insert(0, sys.argv[1]); "
+            "from rqshot.instance import generate_regular_gaussian; "
+            "from rqshot.qaoa import Angles, statevector_depth1; "
+            "print(*(hashlib.sha256(statevector_depth1(generate_regular_gaussian(n, 4, seed=847), "
+            "Angles(0.7, 0.3)).tobytes()).hexdigest() for n in range(16, 21)))"
+        )
+        src = os.path.dirname(os.path.dirname(qaoa.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", probe, src], env=env,
+                                  capture_output=True, text=True, check=True, timeout=120)
+            digests.append(done.stdout.split())
+        assert len(digests[0]) == 5 and digests[0] == digests[1]
+        want = [hashlib.sha256(statevector_depth1(generate_regular_gaussian(n, 4, seed=847),
+                                                  Angles(0.7, 0.3)).tobytes()).hexdigest()
+                for n in range(16, 21)]
+        assert digests[0] == want
 
     def test_matches_dense_matrix_exponentials(self, rng):
         for n in range(1, 6):
@@ -731,6 +808,19 @@ class TestSampling:
                 bits = index_bits(full_space_indices(full, k, np.random.default_rng(seed)), n)
                 want = (bits[:, ends[:, 0]] ^ bits[:, ends[:, 1]]).sum(axis=0)
                 assert np.array_equal(got, want)
+
+    def test_draws_on_bench_walks_equal_batched_block_draws(self):
+        # the GEMM moves amplitudes by ~1e-17, which moves no search key across a bin
+        for g in bench_walks(np.random.default_rng(5)):
+            a = optimize_angles(g)
+            sampler = CorrelationSampler(g, a, mode=MODE_STATEVECTOR)
+            ref = CorrelationSampler(g, a, mode=MODE_STATEVECTOR,
+                                     cumulative_probs=cumulative(batched_statevector(g, a)))
+            for seed in range(3):
+                for k in (64, 803):
+                    got = sampler.draw(k, np.random.default_rng(seed)).disagree
+                    want = ref.draw(k, np.random.default_rng(seed)).disagree
+                    assert np.array_equal(got, want)
 
     def test_shot_count_validated(self, rng):
         g = make_graph({(0, 1): 1.0})
