@@ -11,14 +11,17 @@ are those fields' names, parsed by their declared types:
 
 Every field defaults to the reference setting, so running with no config
 file reproduces the reference protocol.  The dataclasses check their own
-ranges when built, so a bad value is rejected at load.
+ranges when built, so a bad value is rejected at load; so is a float that
+is not finite.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .benchmark import ProtocolConfig
@@ -42,15 +45,18 @@ class RunConfig:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.replace(",", " ").split())
+def _float(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):  # NaN passes every range check
+        raise ValueError(f"must be finite, got {raw.strip()!r}")
+    return value
 
 
-def _ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in raw.replace(",", " ").split())
+def _tuple(parse, raw: str) -> tuple:
+    return tuple(parse(x) for x in raw.replace(",", " ").split())
 
 
-_PARSE = {"int": int, "float": float, "str": str, "tuple[int, ...]": _ints, "tuple[float, ...]": _floats}
+_PARSE = {"int": int, "float": _float, "str": str,
+          "tuple[int, ...]": partial(_tuple, int), "tuple[float, ...]": partial(_tuple, _float)}
 
 
 def _keys(cls, names=None) -> dict:
@@ -95,7 +101,10 @@ def load_config(path: Path | str | None = None) -> RunConfig:
             if key not in _SECTIONS[section]:
                 raise ValueError(f"unknown key {key!r} in config section [{section}]")
             cls, name, parse = _SECTIONS[section][key]
-            values[cls][name] = parse(raw)
+            try:
+                values[cls][name] = parse(raw)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from None
     train = values[TrainConfig]
     return RunConfig(
         **values[RunConfig],

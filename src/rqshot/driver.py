@@ -10,6 +10,8 @@ full assignment reconstructed.
 
 Trials on one instance revisit the same reduced graphs, so an episode walks
 down a StepCache's nodes, one per reduced graph, and reuses what they hold.
+It reaches them only through ``node``, ``descend``, ``sampler`` and
+``residual``, and reads no node field but the graph.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ class DriverConfig:
     def __post_init__(self):
         if self.n_c < 1:
             raise ValueError(f"n_c must be at least 1, got {self.n_c}")
+        if not 0 < self.rho_star <= 1:  # an approximation ratio never exceeds 1
+            raise ValueError(f"rho_star must be in (0, 1], got {self.rho_star}")
         if self.sampling_mode not in (MODE_AUTO, MODE_EXACT, MODE_STATEVECTOR, MODE_BINOMIAL):
             raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
         if not 0 <= self.sv_threshold <= STATEVECTOR_MAX_QUBITS:
@@ -77,6 +81,9 @@ class DriverConfig:
                              f"got {self.sv_threshold}")
         if self.zgap_variant not in (ZGAP_LITERAL, ZGAP_RELATIVE):
             raise ValueError(f"unknown zgap variant {self.zgap_variant!r}")
+        if self.zgap_variant == ZGAP_RELATIVE and not all(0 < z < 1 for z in self.bins.zeta_edges):
+            raise ValueError(f"{ZGAP_RELATIVE} lies in [0, 1), so zeta_edges must lie in (0, 1), "
+                             f"got {self.bins.zeta_edges}")
         if self.k_top < 1:
             raise ValueError(f"k_top must be at least 1, got {self.k_top}")
 
@@ -94,7 +101,7 @@ class EpisodePolicy(Protocol):
 
 @dataclass(eq=False, slots=True)
 class _Node:
-    """A reduced graph and what steps computed on it; children by (edge position, sign)."""
+    """A reduced graph and what its StepCache made for it; children by (edge position, sign)."""
 
     graph: WeightedGraph
     angles: Angles | None = None
@@ -106,13 +113,14 @@ class _Node:
 class StepCache:
     """Per-instance graph of nodes, one per reduced graph its episodes reach.
 
-    A node holds its WeightedGraph, angles, exact correlation values,
-    residual assignment (brute-forced once) and children.  An episode finds
-    its instance's node by signature, and other nodes only when it first
-    takes a contraction, so two orders that reach one graph share its node.
-    Nodes are small and kept unbounded.  Cumulative probabilities, 2^(n-1)
-    floats per graph (the half state, see qaoa.statevector_depth1), live in
-    an LRU keyed by node and bounded at about 2^24 floats.
+    The cache makes every per-graph value once, and an episode reaches a node
+    only through these four: ``node`` finds the instance's node by signature,
+    ``descend`` a child by contraction (so two orders that reach one graph
+    share its node), ``sampler`` searches angles and prepares the state, and
+    ``residual`` brute-forces the optimum.  Nodes are small and kept
+    unbounded.  Cumulative probabilities, 2^(n-1) floats per graph (the half
+    state, see qaoa.statevector_depth1), live in an LRU keyed by node and
+    bounded at about 2^24 floats.
     """
 
     def __init__(self):
@@ -136,20 +144,28 @@ class StepCache:
             child = node.children[i, rec.sign] = self.node(g)
         return child
 
-    def probs_get(self, node: _Node) -> np.ndarray | None:
-        if node not in self._probs:
-            return None
-        self._probs.move_to_end(node)
-        return self._probs[node]
-
-    def probs_put(self, node: _Node, value: np.ndarray) -> None:
-        if self._max_prob is None:
-            # keep total cached floats around 2^24 regardless of state size
-            self._max_prob = max(16, (1 << 24) // max(1, len(value)))
-        self._probs[node] = value
-        self._probs.move_to_end(node)
+    def sampler(self, node: _Node, cfg: DriverConfig) -> CorrelationSampler:
+        """A step's shot source on node; what it prepares is kept for the next step there."""
+        if node.angles is None:
+            node.angles = optimize_angles(node.graph)
+        cum = self._probs.pop(node, None)
+        sampler = CorrelationSampler(node.graph, node.angles, cfg.sampling_mode, cfg.sv_threshold,
+                                     exact_values=node.exact, cumulative_probs=cum)
+        if sampler.mode != MODE_STATEVECTOR:
+            node.exact = sampler.exact_values()
+            return sampler
+        self._probs[node] = cum = sampler.cumulative_probs()  # re-inserted as most recent
+        # keep total cached floats around 2^24 regardless of state size
+        self._max_prob = self._max_prob or max(16, (1 << 24) // len(cum))
         while len(self._probs) > self._max_prob:
             self._probs.popitem(last=False)
+        return sampler
+
+    def residual(self, node: _Node) -> dict[int, int]:
+        """The optimal assignment of node's graph, brute-forced on first request."""
+        if node.residual is None:
+            node.residual = brute_force_optimum(node.graph)[1]
+        return node.residual
 
 
 @dataclass
@@ -257,18 +273,7 @@ def run_episode(
             early_exhausted = True
             break
 
-        if node.angles is None:
-            node.angles = optimize_angles(g)
-        cum = cache.probs_get(node)
-        sampler = CorrelationSampler(
-            g,
-            node.angles,
-            mode=cfg.sampling_mode,
-            sv_threshold=cfg.sv_threshold,
-            exact_values=node.exact,
-            cumulative_probs=cum,
-        )
-
+        sampler = cache.sampler(node, cfg)
         if sampler.mode == MODE_EXACT:
             probe_est = sampler.exact_values()
         else:
@@ -287,12 +292,6 @@ def run_episode(
             if k_t > k_probe:
                 pool = CorrelationSampler.merge(pool, sampler.draw(k_t - k_probe, rng))
             main_est = sampler.estimate(pool)
-
-        # persist prepared-state data for future trials on this instance
-        if sampler.mode != MODE_STATEVECTOR:
-            node.exact = sampler.exact_values()
-        elif cum is None:
-            cache.probs_put(node, sampler.cumulative_probs())
 
         order = edge_order(main_est)
         elim, kept, sign = select_edge(g, main_est, order)
@@ -319,9 +318,7 @@ def run_episode(
     while len(steps) < n - cfg.n_c:
         steps.append(StepLog(step=len(steps) + 1, m=node.graph.node_count, trivial=True))
 
-    if node.residual is None:
-        node.residual = brute_force_optimum(node.graph)[1]
-    full = reconstruct_assignment(stack, node.residual)
+    full = reconstruct_assignment(stack, cache.residual(node))
     e_out = cut_value(inst.graph, full)
     sigma = success(e_out, inst.e_opt, cfg.rho_star)
     return EpisodeResult(

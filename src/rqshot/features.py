@@ -66,7 +66,10 @@ class BinBoundaries:
     these boundaries travel inside checkpoints and must match exactly on
     load.  zeta edges are upper bin edges: value < edges[0] is bin 0,
     value >= edges[-1] is the top bin.  Same for kappa.  Distances bin as
-    min(d, dist_bins - 1).
+    min(d, dist_bins - 1).  The literal zeta is clamped to >= 1, so the
+    default's bin 0 (zeta < 1.0) is never reached; it is kept so that the
+    state keys "m:z:k:d" of checkpoints do not shift.  relative_gap lies in
+    [0, 1), so DriverConfig requires its zeta edges inside (0, 1).
     """
 
     zeta_edges: tuple[float, ...] = (1.0, 1.2, 1.6, 2.0, 3.0, 4.0)

@@ -701,7 +701,7 @@ class TestConfigFile:
         ini.write_text(
             "[run]\nmaster_seed = 7\nn_c = 6\n\n"
             "[sampling]\nmode = binomial\nzgap_variant = relative_gap\n\n"
-            "[bins]\nzeta_edges = 1.0 1.5 2.0 2.5 3.0 4.0\n\n"
+            "[bins]\nzeta_edges = 0.1 0.2 0.4 0.6 0.8 0.9\n\n"
             "[train]\npreset = aggressive\nepisodes = 99\n\n"
             "[benchmark]\ncal_trials = 10\ncap_grid = 64 128 256\n"
         )
@@ -710,7 +710,7 @@ class TestConfigFile:
         assert cfg.driver.n_c == 6
         assert cfg.driver.sampling_mode == "binomial"
         assert cfg.driver.zgap_variant == "relative_gap"
-        assert cfg.driver.bins.zeta_edges == (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
+        assert cfg.driver.bins.zeta_edges == (0.1, 0.2, 0.4, 0.6, 0.8, 0.9)
         assert cfg.train.lambda0 == 8.0
         assert cfg.train.episodes == 99
         assert cfg.protocol.cal_trials == 10
@@ -761,6 +761,17 @@ class TestConfigFile:
         "[run]\njobs = -3\n",
         "[sampling]\nsv_threshold = 40\n",
         "[sampling]\nsv_threshold = -1\n",
+        "[run]\nrho_star = nan\n",
+        "[run]\nrho_star = 1.5\n",
+        "[run]\nrho_star = 0\n",
+        "[train]\nlambda0 = nan\n",
+        "[benchmark]\ncal_target = nan\n",
+        "[benchmark]\nhard_threshold = inf\n",
+        "[bins]\nzeta_edges = 1.0 nan 2.0\n",
+        "[bins]\nkappa_edges = 0.1 -inf\n",
+        "[sampling]\nzgap_variant = relative_gap\n",
+        "[sampling]\nzgap_variant = relative_gap\n[bins]\nzeta_edges = 0.0 0.5\n",
+        "[sampling]\nzgap_variant = relative_gap\n[bins]\nzeta_edges = 0.5 1.0\n",
     ]] + [("", ("--jobs", "0"))],
         ids=["k_top-zero", "unknown-mode", "unknown-zgap-variant", "negative-n_c", "dist_bins-zero",
              "descending-edges", "eval_trials-zero", "screen_trials-zero", "cal_trials-zero",
@@ -768,7 +779,10 @@ class TestConfigFile:
              "validation_trials-zero", "negative-episodes", "epsilon-above-one", "negative-lambda0",
              "alpha-above-one", "discount-above-one", "negative-ema_beta", "p_star-above-one",
              "negative-mu_lambda", "negative-eta", "negative-extra_fail_penalty", "jobs-zero", "negative-jobs",
-             "sv_threshold-above-max-qubits", "negative-sv_threshold", "jobs-flag-zero"])
+             "sv_threshold-above-max-qubits", "negative-sv_threshold", "nan-rho_star", "rho_star-above-one",
+             "rho_star-zero", "nan-lambda0", "nan-cal_target", "infinite-hard_threshold", "nan-zeta-edge",
+             "infinite-kappa-edge", "relative_gap-default-edges", "relative_gap-edge-zero",
+             "relative_gap-edge-one", "jobs-flag-zero"])
     def test_out_of_range_value_is_usage_error(self, pipeline, tmp_path, capsys, text, flags):
         _, inst_path, cap_path = pipeline
         ini = tmp_path / "range.ini"
@@ -789,8 +803,16 @@ class TestConfigFile:
         lambda: replace(TrainConfig(), alpha=1.5),
         lambda: TrainConfig(extra_fail_penalty=-1.0),
         lambda: bm.ProtocolConfig(cap_grid=(64, 64)),
+        lambda: DriverConfig(rho_star=1.01),
+        lambda: DriverConfig(rho_star=0.0),
+        lambda: DriverConfig(rho_star=float("nan")),
+        lambda: DriverConfig(zgap_variant="relative_gap"),
+        lambda: DriverConfig(zgap_variant="relative_gap", bins=BinBoundaries(zeta_edges=(0.2, 1.0))),
+        lambda: DriverConfig(zgap_variant="relative_gap", bins=BinBoundaries(zeta_edges=(0.0, 0.2))),
     ], ids=["driver-replace", "driver", "driver-sv_threshold-above", "driver-sv_threshold-below",
-            "bins", "train-replace", "train-alpha", "train-penalty", "protocol"])
+            "bins", "train-replace", "train-alpha", "train-penalty", "protocol", "driver-rho_star-above",
+            "driver-rho_star-zero", "driver-rho_star-nan", "driver-relative_gap-default-edges",
+            "driver-relative_gap-edge-one", "driver-relative_gap-edge-zero"])
     def test_dataclasses_check_their_ranges(self, build):
         with pytest.raises(ValueError):
             build()
@@ -798,6 +820,25 @@ class TestConfigFile:
     def test_sv_threshold_range_is_inclusive(self):
         for sv in (0, 22):
             assert DriverConfig(sv_threshold=sv).sv_threshold == sv
+
+    def test_rho_star_one_and_relative_gap_inside_unit_interval_load(self, tmp_path):
+        ini = tmp_path / "edges.ini"
+        ini.write_text("[run]\nrho_star = 1\n[sampling]\nzgap_variant = relative_gap\n"
+                       "[bins]\nzeta_edges = 0.1 0.2 0.4 0.6\n")
+        driver = load_config(ini).driver
+        assert (driver.rho_star, driver.bins.zeta_edges) == (1.0, (0.1, 0.2, 0.4, 0.6))
+        # the literal variant keeps its edges at and above 1
+        assert DriverConfig(zgap_variant="literal").bins == BinBoundaries()
+
+    @pytest.mark.parametrize("text, where", [
+        ("[train]\nlambda0 = nan\n", r"\[train\] lambda0: must be finite, got 'nan'"),
+        ("[bins]\nzeta_edges = 1.0, -inf\n", r"\[bins\] zeta_edges: must be finite, got '-inf'"),
+    ], ids=["float", "float-tuple"])
+    def test_non_finite_float_names_its_key(self, tmp_path, text, where):
+        ini = tmp_path / "nan.ini"
+        ini.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            load_config(ini)
 
     @pytest.mark.parametrize("text", [
         "[run]\nn_c = 6\nn_c = 7\n",
@@ -823,7 +864,7 @@ class TestConfigFile:
             "[run]\nmaster_seed = 7\nn_c = 6\nrho_star = 0.98\njobs = 2\n"
             "[sampling]\nmode = binomial\nsv_threshold = 18\n"
             "zgap_variant = relative_gap\nk_top = 4\n"
-            "[bins]\nzeta_edges = 1.0, 2.0\nkappa_edges = 0.2 0.3\ndist_bins = 4\n"
+            "[bins]\nzeta_edges = 0.25, 0.5\nkappa_edges = 0.2 0.3\ndist_bins = 4\n"
             "[train]\npreset = aggressive\n"
             + "".join(f"{k} = {v}\n" for k, v in train.items())
             + "[benchmark]\nscreen_trials = 11\nscreen_cap = 96\nhard_threshold = 0.75\n"
@@ -839,7 +880,7 @@ class TestConfigFile:
         assert typed(cfg.master_seed, driver.n_c, driver.rho_star, cfg.jobs) == typed(7, 6, 0.98, 2)
         assert typed(driver.sampling_mode, driver.sv_threshold) == typed("binomial", 18)
         assert typed(driver.zgap_variant, driver.k_top) == typed("relative_gap", 4)
-        assert driver.bins == BinBoundaries((1.0, 2.0), (0.2, 0.3), 4)
+        assert driver.bins == BinBoundaries((0.25, 0.5), (0.2, 0.3), 4)
         assert type(driver.bins.dist_bins) is int
         assert cfg.train == TrainConfig(**train)
         assert all(type(getattr(cfg.train, k)) is type(v) for k, v in train.items())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rqshot.driver
+import rqshot.qaoa
 from rqshot.allocation import HeuristicPolicy, UniformPolicy
 from rqshot.driver import DriverConfig, StepCache, run_episode, select_edge, success
 from rqshot.features import edge_order, probe_shot_count
@@ -151,15 +152,64 @@ class TestRunEpisode:
         assert all(p["shots"] >= 16 for p in parsed)
         assert json.dumps(res.to_dict())
 
-    def test_cache_reuse_is_behavior_neutral(self, inst10):
-        cfg = DriverConfig()
+    @pytest.mark.parametrize("mode", ["exact", "binomial", "auto"])
+    def test_cache_reuse_is_behavior_neutral(self, inst10, mode, monkeypatch):
+        # n_c = 6 gives four steps, so trials at different seeds reach many shared nodes
+        cfg = DriverConfig(n_c=6, sampling_mode=mode)
+        searches = count_calls(monkeypatch, "optimize_angles")
+        prepared = count_calls(monkeypatch, "statevector_depth1", "zz_all_edges", module=rqshot.qaoa)
         cache = StepCache()
-        warm = run_episode(inst10, HeuristicPolicy(), 128, cfg, np.random.default_rng(7), cache=cache)
-        cached = run_episode(inst10, HeuristicPolicy(), 128, cfg, np.random.default_rng(7), cache=cache)
-        cold = run_episode(inst10, HeuristicPolicy(), 128, cfg, np.random.default_rng(7))
-        for res in (cached, cold):
-            assert res.to_dict() == warm.to_dict()
-            assert [s.to_dict() for s in res.steps] == [s.to_dict() for s in warm.steps]
+
+        def trials(cache):
+            return [run_episode(inst10, HeuristicPolicy(), 128, cfg, np.random.default_rng(seed), cache=cache)
+                    for seed in range(6)]
+
+        warm, cached = trials(cache), trials(cache)
+        # one angle search and one state preparation per node that took a step: at n = 10
+        # every auto node samples its state, the other modes sample the exact values
+        stepped = [nd for nd in cache._nodes.values() if nd.angles is not None]
+        statevector = len(stepped) if mode == "auto" else 0
+        assert sum(len(res.steps) for res in warm) > len(stepped) >= 4
+        assert searches == {"optimize_angles": len(stepped)}
+        assert prepared == {"statevector_depth1": statevector, "zz_all_edges": len(stepped) - statevector}
+        assert all((nd.exact is None) == (mode == "auto") for nd in stepped)
+        for res in (cached, trials(None)):
+            for r, w in zip(res, warm, strict=True):
+                assert r.to_dict() == w.to_dict()
+                assert [s.to_dict() for s in r.steps] == [s.to_dict() for s in w.steps]
+
+    def test_probability_lru_evicts_and_prepares_again_bit_for_bit(self, inst10, monkeypatch):
+        # against a bound of 2, five-step episodes evict and two-step reruns hit
+        cfgs = [DriverConfig(n_c=n_c) for n_c in (5, 8, 8)]
+        cache = StepCache()
+        cache._max_prob = 2
+        prepared = count_calls(monkeypatch, "statevector_depth1", module=rqshot.qaoa)
+        first, sizes, misses = {}, [], []
+        real_sampler = cache.sampler
+
+        def sampler(node, cfg):
+            misses.append(node not in cache._probs)
+            s = real_sampler(node, cfg)
+            sizes.append(len(cache._probs))
+            assert next(reversed(cache._probs)) is node  # the node just used is the most recent
+            cum = first.setdefault(node, s.cumulative_probs())
+            assert cum.tobytes() == s.cumulative_probs().tobytes()
+            return s
+
+        monkeypatch.setattr(cache, "sampler", sampler)
+
+        def trials(cache):
+            return [run_episode(inst10, UniformPolicy(), 64, cfg, np.random.default_rng(seed), cache=cache)
+                    for seed in range(3) for cfg in cfgs]
+
+        warm = trials(cache)
+        assert max(sizes) == 2
+        # every miss prepares once; more misses than nodes means evicted nodes came back
+        assert prepared["statevector_depth1"] == sum(misses) > len(first)
+        assert not all(misses)
+        for ep, cold in zip(warm, trials(None), strict=True):
+            assert ep.to_dict() == cold.to_dict()
+            assert [s.to_dict() for s in ep.steps] == [s.to_dict() for s in cold.steps]
 
     def test_binomial_mode_runs(self, inst10):
         cfg = DriverConfig(sampling_mode="binomial")
@@ -176,8 +226,8 @@ class TestRunEpisode:
         assert calls["optimize_angles"] == 2
 
 
-def count_calls(monkeypatch, *names) -> dict[str, int]:
-    """Wrap each named rqshot.driver function with a call counter; returns the counts."""
+def count_calls(monkeypatch, *names, module=rqshot.driver) -> dict[str, int]:
+    """Wrap each named function of module (rqshot.driver) with a call counter; returns the counts."""
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -187,7 +237,7 @@ def count_calls(monkeypatch, *names) -> dict[str, int]:
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(rqshot.driver, name, counted(name, getattr(rqshot.driver, name)))
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
 
 
