@@ -170,8 +170,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         if name == "rl":
             if not args.checkpoint:
                 raise FileNotFoundError("rl policy requested but no --checkpoint given")
-            checkpoint = PolicyCheckpoint.load(args.checkpoint, expected_bins=cfg.driver.bins,
-                                               expected_n_c=cfg.driver.n_c)
+            checkpoint = PolicyCheckpoint.load(args.checkpoint, cfg.driver)
             policies[name] = bm.make_policy("rl", checkpoint)
         else:
             policies[name] = bm.make_policy(name)

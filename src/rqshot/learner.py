@@ -8,8 +8,8 @@ episode outcomes, frozen during a warm-up phase so the policy can find
 successful trajectories before the constraint tightens.
 
 Checkpoints carry everything needed to replay the greedy policy: both
-tables, the training configuration, and the exact bin boundaries the tables
-were indexed with.
+tables, the training configuration, and everything that defines a table
+row: the exact bin boundaries, n_c, the z-gap variant and k_top.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .features import BinBoundaries, DiscreteState
 from .instance import Instance
 from .seeding import make_rng
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -187,6 +187,8 @@ class PolicyCheckpoint:
     bin_boundaries: BinBoundaries
     n: int
     n_c: int
+    zgap_variant: str
+    k_top: int
     instance_id: str
     validation_sr: float | None = None
     validation_median_shots: float | None = None
@@ -212,7 +214,9 @@ class PolicyCheckpoint:
         if not isinstance(data, dict):
             raise CheckpointError(f"malformed checkpoint: not a JSON object but {type(data).__name__}")
         if data.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint format: {data.get('format_version')}")
+            raise CheckpointError(f"unsupported checkpoint format {data.get('format_version')}: this "
+                                  f"version reads format {CHECKPOINT_FORMAT_VERSION}, which records "
+                                  "the zgap_variant and k_top the tables were trained under; retrain")
 
         def table_load(t: dict) -> dict:
             return {tuple(int(x) for x in k.split(":")): list(map(float, v)) for k, v in t.items()}
@@ -233,22 +237,28 @@ class PolicyCheckpoint:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
     @classmethod
-    def load(cls, path: Path | str, expected_bins: BinBoundaries | None = None,
-             expected_n_c: int | None = None) -> "PolicyCheckpoint":
-        """Read a checkpoint; bins or an n_c other than those expected raise CheckpointError."""
+    def load(cls, path: Path | str, driver_cfg: DriverConfig | None = None) -> "PolicyCheckpoint":
+        """Read a checkpoint.  Under a ``driver_cfg`` whose bins, n_c, zgap_variant or k_top
+        differ from those of training, its table rows would mean other states: CheckpointError."""
         try:
             data = json.loads(Path(path).read_text())
         except ValueError as exc:  # not JSON, or not text
             raise CheckpointError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
         ckpt = cls.from_dict(data)
-        if expected_bins is not None and ckpt.bin_boundaries != expected_bins:
+        if driver_cfg is None:
+            return ckpt
+        if ckpt.bin_boundaries != driver_cfg.bins:
             raise CheckpointError(
                 "checkpoint was trained under different bin boundaries; "
                 "its greedy policy is not valid under this configuration"
             )
-        if expected_n_c is not None and ckpt.n_c != expected_n_c:
-            raise CheckpointError(f"checkpoint was trained under n_c = {ckpt.n_c}, not {expected_n_c}; "
-                                  "its table rows are keyed by m - n_c - 1")
+        for name, role in (("n_c", "its table rows are keyed by m - n_c - 1"),
+                           ("zgap_variant", "it sets the scale of zeta"),
+                           ("k_top", "it sets which edges kappa counts")):
+            trained, now = getattr(ckpt, name), getattr(driver_cfg, name)
+            if trained != now:
+                raise CheckpointError(f"checkpoint was trained under {name} = {trained}, not {now}; "
+                                      f"{role}")
         return ckpt
 
 
@@ -360,6 +370,8 @@ def train(
         bin_boundaries=driver_cfg.bins,
         n=inst.n,
         n_c=driver_cfg.n_c,
+        zgap_variant=driver_cfg.zgap_variant,
+        k_top=driver_cfg.k_top,
         instance_id=inst.instance_id,
         validation_sr=final_record.get("sr"),
         validation_median_shots=final_record.get("median_shots"),

@@ -20,12 +20,10 @@ per distinct argument serves all four products (_EdgeTerms).  Summed with
 the couplings, the energy is A(gamma) sin 4beta + B(gamma) sin^2 2beta,
 whose minimum over beta is B/2 - sqrt(A^2 + B^2/4) in closed form (Wang,
 Hadfield, Jiang & Rieffel, arXiv:1706.02998), so the angle search is a
-one-dimensional search over gamma: a grid scan refined by Brent's bounded
-golden-section and parabolic search (_bounded_minimum; R. P. Brent,
-Algorithms for Minimization without Derivatives, 1973, ch. 5), in the
-operation order of SciPy's minimize_scalar(method="bounded"), reproducing
-its result bit for bit without SciPy.  The statevector simulator, not the
-formula, is the ground truth in the tests.  H has no fields, so the state is
+one-dimensional search over gamma: a grid scan refined by parabolic steps
+on a three-point stencil, guarded so that it never ends above the grid's
+best (optimize_angles).  The statevector simulator, not the formula, is
+the ground truth in the tests.  H has no fields, so the state is
 invariant under the global spin flip X^(x)n, the Z2 symmetry RQAOA is built
 on (Bravyi, Kliesch, Koenig & Tang, arXiv:1910.08980), and every ZZ product
 and every disagreement count is too.  The simulator therefore prepares only
@@ -51,7 +49,6 @@ statevector or from per-edge binomial draws.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +86,7 @@ class _EdgeTerms:
     in order, and padded with zeros: an absent coupling contributes cos 0 = 1
     to every product.  ``rows`` indexes ru, rv, ru + rv and ru - rv into
     ``values``, their distinct entries, so ``ab`` takes one cosine per value
-    and gathers each E x w block: the same doubles, in the same order.
+    and multiplies the gathered columns in order: each row's product, bit for bit.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -106,12 +103,16 @@ class _EdgeTerms:
         self.rows = inverse.reshape(stacked.shape)
 
     def ab(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Structure coefficients a_e, b_e for each gamma; shape (len(gammas), E)."""
-        g2 = 2.0 * np.asarray(gammas, dtype=float).reshape(-1, 1)
-        cos = np.cos(g2 * self.values)
-        pu, pv, tp, tm = (cos[:, rows].prod(axis=2) for rows in self.rows)
-        a = 0.5 * np.sin(g2 * self.j) * (pu + pv)
-        return a, -0.5 * (tp - tm)
+        """Structure coefficients a_e, b_e for each gamma; shape (len(gammas), E), in C
+        order: on a Fortran-ordered batch ``a @ j`` takes another BLAS path, with other bits."""
+        g2 = 2.0 * np.asarray(gammas, dtype=float).reshape(-1)
+        cos = np.cos(self.values[:, None] * g2)  # a row per value, a column per gamma
+        products = np.ones(self.rows.shape[:2] + g2.shape)  # the four, a column at a time
+        for k in range(self.rows.shape[2]):
+            products *= cos[self.rows[:, :, k]]
+        pu, pv, tp, tm = products
+        a = 0.5 * np.sin(self.j[:, None] * g2) * (pu + pv)
+        return np.ascontiguousarray(a.T), np.ascontiguousarray(-0.5 * (tp - tm).T)
 
 
 def zz_all_edges(g: WeightedGraph, a: Angles) -> np.ndarray:
@@ -132,94 +133,25 @@ def _beta_minimum(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.
     return energy, beta
 
 
-def _bounded_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
-    """Minimize f over [a, b] by Brent's golden-section search with parabolic steps.
-
-    R. P. Brent, Algorithms for Minimization without Derivatives (1973),
-    ch. 5, in the operation order of SciPy's _minimize_scalar_bounded
-    (scipy/optimize/_optimize.py): the same constants, tolerance updates,
-    step-sign rule and 500-evaluation limit, so that every iterate and the
-    returned (x, f(x)) equal those of ``minimize_scalar(f, bounds=(a, b),
-    method="bounded", options={"xatol": xatol})`` bit for bit.  x is the
-    best point, w the second best and v the previous w; a NaN from f is
-    never an improvement, so it is returned only if f(x) of the first,
-    golden-section point was NaN.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    v = w = x = a + golden_mean * (b - a)
-    fv = fw = fx = f(x)
-    d = e = 0.0
-    calls = 1
-    mid = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(x) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(x - mid) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through x, w and v
-            golden = False
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = d
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - x) and p < q * (b - x):
-                d = (p + 0.0) / q
-                u = x + d
-                if (u - a) < tol2 or (b - u) < tol2:
-                    d = tol1 * (np.sign(mid - x) + ((mid - x) == 0))
-            else:
-                golden = True
-        if golden:
-            e = a - x if x >= mid else b - x
-            d = golden_mean * e
-        u = x + (np.sign(d) + (d == 0)) * max(abs(d), tol1)
-        fu = f(u)
-        calls += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv = w, fw
-            w, fw = x, fx
-            x, fx = u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv = w, fw
-                w, fw = u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        mid = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if calls >= 500:
-            break
-    return float(x), float(fx)
-
-
 def optimize_angles(g: WeightedGraph) -> Angles:
     """Minimize the depth-1 energy: beta in closed form, gamma by a 1-D search.
 
     With A(gamma) = sum_e J_e a_e and B(gamma) = sum_e J_e b_e, the minimum
     of the energy over beta is B/2 - sqrt(A^2 + B^2/4) (see _beta_minimum).
     That envelope is scanned on ANGLE_GRID_POINTS values of gamma in
-    [0, 2pi), and the best one is refined within one grid step either side
-    by _bounded_minimum, Brent's bounded search as SciPy's
-    minimize_scalar(method="bounded") runs it, with xatol 1e-10.  The grid
-    winner is kept if refinement fails to improve on it (a NaN included),
-    so the returned energy never exceeds the best grid energy, and no beta
-    grid can do better at the same gamma.  beta lies in [0, pi/2), the
-    period of the state up to a global phase.  Deterministic: no randomness
-    anywhere.
+    [0, 2pi), and the winner is refined by parabolic steps on a stencil
+    [c - h, c, c + h] inside its bracket, one grid step either side within
+    [0, 2pi].  The first parabola runs through the winner and its grid
+    neighbours at no cost; a winner at an end of the grid first takes one
+    call on the stencil spanning its bracket.  Each step evaluates the
+    stencil centred on the last vertex, moved into the bracket, with
+    h = min(h/2, max(|d|, 1e-6)) after a step d, until |d| < 1e-10, a
+    parabola is not convex, or 10 steps.  The guard: the best point
+    evaluated is returned with the beta of that evaluation, and the grid
+    winner stays unless a point beats it, which a NaN never does.  So the
+    energy never exceeds the best grid energy, and no beta grid can do
+    better at the same gamma.  beta lies in [0, pi/2), the period of the
+    state up to a global phase.  Deterministic: no randomness anywhere.
     """
     if g.edge_count == 0:
         raise ValueError("cannot optimize angles on an edgeless graph")
@@ -231,19 +163,37 @@ def optimize_angles(g: WeightedGraph) -> Angles:
 
     step = 2 * np.pi / ANGLE_GRID_POINTS
     gammas = np.linspace(0.0, 2 * np.pi, ANGLE_GRID_POINTS, endpoint=False)
-    surface, _ = best_over_beta(gammas)
+    surface, betas = best_over_beta(gammas)
     gi = int(np.argmin(surface))
-    gamma = float(gammas[gi])
-    x, fx = _bounded_minimum(
-        lambda x: float(best_over_beta(np.array([x]))[0][0]),
-        max(0.0, gamma - step),
-        min(2 * np.pi, gamma + step),
-        xatol=1e-10,
-    )
-    if fx <= surface[gi]:
-        gamma = x
-    _, beta = best_over_beta(np.array([gamma]))
-    return Angles(gamma=gamma, beta=float(beta[0]))
+    best = surface[gi], gammas[gi], betas[gi]
+    lo, hi = max(0.0, gammas[gi] - step), min(2 * np.pi, gammas[gi] + step)
+
+    def stencil(c: float, h: float) -> np.ndarray:
+        nonlocal best
+        x = np.clip([c - h, c, c + h], lo, hi)
+        f, b = best_over_beta(x)
+        i = int(np.argmin(f))
+        if f[i] < best[0]:
+            best = f[i], x[i], b[i]
+        return f
+
+    if 0 < gi < ANGLE_GRID_POINTS - 1:
+        c, h, f = gammas[gi], step, surface[gi - 1 : gi + 2]
+    else:
+        c, h = (lo + hi) / 2, (hi - lo) / 2
+        f = stencil(c, h)
+    for _ in range(10):
+        curve = f[0] - 2 * f[1] + f[2]
+        if not curve > 0:
+            break
+        d = h * (f[0] - f[2]) / (2 * curve)
+        if not abs(d) >= 1e-10:
+            break
+        h = min(h / 2, max(abs(d), 1e-6))
+        c = min(max(c + d, lo + h), hi - h)
+        f = stencil(c, h)
+    _, gamma, beta = best
+    return Angles(gamma=float(gamma), beta=float(beta))
 
 
 def statevector_depth1(g: WeightedGraph, a: Angles) -> np.ndarray:

@@ -451,7 +451,8 @@ class TestInstancePool:
         q1 = {c: [float(a == sum(c) % 6) for a in range(6)] for c in cells}
         ckpt = tmp_path / "policy.json"
         PolicyCheckpoint(qtables=QTables(q1=q1), config=TrainConfig(), bin_boundaries=BinBoundaries(),
-                         n=10, n_c=8, instance_id="n10d05s2").save(ckpt)
+                         n=10, n_c=8, zgap_variant="literal", k_top=3,
+                         instance_id="n10d05s2").save(ckpt)
         trees = []
         for jobs in ("1", "2"):
             root = tmp_path / f"jobs{jobs}"
@@ -514,25 +515,33 @@ def edited(edit):
     return corrupt
 
 
+def as_format_2(data):
+    """The previous format, which did not record the zgap_variant and k_top of training."""
+    del data["zgap_variant"], data["k_top"]
+    data["format_version"] = 2
+
+
 class TestCheckpointFile:
     @pytest.mark.parametrize("corrupt", [
         edited(lambda d: d["config"].update(bogus=1)),
         edited(lambda d: d.pop("qtables")),
         edited(lambda d: d["qtables"]["q1"].update({"1:x:3:4": [0.0] * 6})),
         edited(lambda d: d.update(format_version=1)),
+        edited(as_format_2),
         lambda d: "not json",
         lambda d: "[1, 2]",
         edited(lambda d: d["config"].update(validation_trials=0)),
         edited(lambda d: d["bin_boundaries"].update(dist_bins=0)),
         edited(lambda d: d.update(bogus=1)),
         edited(lambda d: d.pop("n_c")),
-    ], ids=["unknown-config-key", "missing-qtables", "bad-state-key", "old-format", "not-json",
-            "not-an-object", "out-of-range-config", "out-of-range-bins", "unknown-key",
+    ], ids=["unknown-config-key", "missing-qtables", "bad-state-key", "old-format", "format-2",
+            "not-json", "not-an-object", "out-of-range-config", "out-of-range-bins", "unknown-key",
             "missing-key"])
     def test_malformed_checkpoint_is_validation_error(self, pipeline, tmp_path, capsys, corrupt):
         _, inst_path, _ = pipeline
         data = PolicyCheckpoint(qtables=QTables(), config=TrainConfig(),
                                 bin_boundaries=BinBoundaries(), n=10, n_c=8,
+                                zgap_variant="literal", k_top=3,
                                 instance_id="n10d04s3").to_dict()
         ckpt = tmp_path / "policy.json"
         ckpt.write_text(corrupt(data))
@@ -544,18 +553,28 @@ class TestCheckpointFile:
 
 
     def test_other_n_c_is_validation_error(self, pipeline, tmp_path, capsys):
-        # discretize keys rows by m - n_c - 1, so an n_c = 8 table read under n_c = 6 is off by two
+        # discretize keys rows by m - n_c - 1, so an n_c = 8 table read under n_c = 6 is off by two;
+        # a table trained under CI's toy.ini (relative_gap, k_top = 4) also reads the wrong rows
+        # under literal z-gaps or k_top = 3
         _, inst_path, _ = pipeline
         ckpt = tmp_path / "policy.json"
-        PolicyCheckpoint(qtables=QTables(), config=TrainConfig(), bin_boundaries=BinBoundaries(),
-                         n=10, n_c=8, instance_id="n10d04s3").save(ckpt)
-        ini = tmp_path / "run.ini"
-        ini.write_text("[run]\nn_c = 6\n")
-        out = tmp_path / "e"
-        assert run("--config", str(ini), "eval", "--instances", str(inst_path), "--policies", "rl",
-                   "--checkpoint", str(ckpt), "--cap", "64", "--out", str(out)) == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: checkpoint was trained under n_c = 8")
-        assert not out.exists()
+        PolicyCheckpoint(qtables=QTables(), config=TrainConfig(),
+                         bin_boundaries=BinBoundaries(zeta_edges=(0.1, 0.2, 0.4, 0.6)), n=10, n_c=8,
+                         zgap_variant="relative_gap", k_top=4, instance_id="n10d04s3").save(ckpt)
+        toy = "[sampling]\nzgap_variant = {}\nk_top = {}\n[bins]\nzeta_edges = 0.1 0.2 0.4 0.6\n"
+        for text, trained in [
+            ("[run]\nn_c = 6\n" + toy.format("relative_gap", 4), "n_c = 8, not 6"),
+            (toy.format("literal", 4), "zgap_variant = relative_gap, not literal"),
+            (toy.format("relative_gap", 3), "k_top = 4, not 3"),
+        ]:
+            ini = tmp_path / "run.ini"
+            ini.write_text(text)
+            out = tmp_path / "e"
+            assert run("--config", str(ini), "eval", "--instances", str(inst_path), "--policies",
+                       "rl", "--checkpoint", str(ckpt), "--cap", "64", "--out",
+                       str(out)) == EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith(f"error: checkpoint was trained under {trained}")
+            assert not out.exists()
 
 
 class TestFileSchemas:
@@ -580,10 +599,10 @@ class TestFileSchemas:
 
         ckpt = json.loads(ckpt_path.read_text())
         assert set(ckpt) == {
-            "format_version", "qtables", "config", "bin_boundaries", "n", "n_c", "instance_id",
-            "validation_sr", "validation_median_shots", "validation_mean_shots", "lambda_trace",
-            "validation_history"}
-        assert ckpt["format_version"] == 2
+            "format_version", "qtables", "config", "bin_boundaries", "n", "n_c", "zgap_variant",
+            "k_top", "instance_id", "validation_sr", "validation_median_shots",
+            "validation_mean_shots", "lambda_trace", "validation_history"}
+        assert ckpt["format_version"] == 3
         assert set(ckpt["qtables"]) == {"q1", "q2"}
         assert set(ckpt["config"]) == {
             "alpha", "discount", "eps_start", "eps_min", "eps_decay", "episodes", "lambda0",

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rqshot.allocation import heuristic_index
 from rqshot.features import (
     DIST_SENTINEL,
+    ZGAP_LITERAL,
     ZGAP_RELATIVE,
     ZGAP_SENTINEL,
     BinBoundaries,
@@ -234,3 +236,85 @@ def test_discretize_monotone(z1, z2, k1, k2, d1, d2):
     assert dlo.zeta_bin <= dhi.zeta_bin
     assert dlo.kappa_bin <= dhi.kappa_bin
     assert dlo.dist_bin <= dhi.dist_bin
+
+
+# the zeta edges each variant is run with: the default [bins] for literal, CI's toy.ini for
+# relative_gap; and the zeta bins and heuristic rungs an estimate can reach under each.  literal
+# zeta is at least 1, so bin 0 and rung 4 (zeta < 0.9) never occur; relative_gap lies in [0, 1)
+# but for the one-edge sentinel, which always takes rung 0 (kappa 0, dist DIST_SENTINEL), so
+# rung 1 (1 < 2 <= zeta) never occurs and rung 0 needs a one-edge graph
+ZETA_SCALES = {
+    ZGAP_LITERAL: (BinBoundaries().zeta_edges, {1, 2, 3, 4, 5, 6}, {0, 1, 2}),
+    ZGAP_RELATIVE: ((0.1, 0.2, 0.4, 0.6), {0, 1, 2, 3, 4}, {0, 2, 4}),
+}
+
+
+def zeta_bin_and_rung(g, est, variant, k_top=3):
+    s = extract_state(g, np.asarray(est, dtype=float), k_top=k_top, zgap_variant=variant)
+    bins = BinBoundaries(zeta_edges=ZETA_SCALES[variant][0])
+    return discretize(s, n=s.m, n_c=s.m - 1, bins=bins).zeta_bin, heuristic_index(s)
+
+
+@st.composite
+def graph_estimates(draw):
+    """A unit-coupling graph on 2 to 8 nodes, an estimate in [-1, 1] per edge, and a k_top."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12, unique=True))
+    est = draw(st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False),
+                        min_size=len(edges), max_size=len(edges)))
+    return make_graph({e: 1.0 for e in edges}), est, draw(st.integers(min_value=1, max_value=5))
+
+
+@pytest.mark.parametrize("variant", [ZGAP_LITERAL, ZGAP_RELATIVE])
+@settings(max_examples=300, deadline=None)
+@given(case=graph_estimates())
+def test_zeta_bins_and_rungs_stay_reachable(variant, case):
+    g, est, k_top = case
+    zeta_bin, rung = zeta_bin_and_rung(g, est, variant, k_top)
+    _, zeta_bins, rungs = ZETA_SCALES[variant]
+    assert zeta_bin in zeta_bins and rung in rungs
+    if variant == ZGAP_RELATIVE and rung == 0:
+        assert g.edge_count == 1
+
+
+# a path 0-1-...-7: its edges (0, 1), (3, 4) and (6, 7) are disjoint, the outer two 5 hops apart
+PATH = [(i, i + 1) for i in range(7)]
+
+
+def on_path(values):
+    return {e: values.get(e, 0.0) for e in PATH}
+
+
+# one estimate for each zeta bin and heuristic rung that ZETA_SCALES admits
+ZETA_EXAMPLES = [
+    (ZGAP_LITERAL, {(0, 1): 0.5, (1, 2): 0.5}, 1, 2),
+    (ZGAP_LITERAL, {(0, 1): 0.7, (1, 2): 0.5}, 2, 2),
+    (ZGAP_LITERAL, {(0, 1): 0.9, (1, 2): 0.5}, 3, 2),
+    (ZGAP_LITERAL, {(0, 1): 0.5, (1, 2): 0.2}, 4, 2),
+    (ZGAP_LITERAL, {(0, 1): 0.9, (1, 2): 0.25}, 5, 2),
+    (ZGAP_LITERAL, {(0, 1): 0.9, (1, 2): 0.1}, 6, 2),
+    (ZGAP_LITERAL, {(0, 1): -0.4}, 6, 0),
+    (ZGAP_LITERAL, on_path({(0, 1): 0.9, (6, 7): 0.2, (3, 4): 0.1}), 6, 0),
+    (ZGAP_LITERAL, on_path({(0, 1): 0.5, (6, 7): 0.2, (3, 4): 0.1}), 4, 1),
+    (ZGAP_RELATIVE, {(0, 1): 0.5, (1, 2): 0.5}, 0, 4),
+    (ZGAP_RELATIVE, {(0, 1): 0.5, (1, 2): 0.43}, 1, 4),
+    (ZGAP_RELATIVE, {(0, 1): 0.5, (1, 2): 0.35}, 2, 4),
+    (ZGAP_RELATIVE, {(0, 1): 0.5, (1, 2): 0.25}, 3, 4),
+    (ZGAP_RELATIVE, {(0, 1): 0.5, (1, 2): 0.1}, 4, 4),
+    (ZGAP_RELATIVE, {(0, 1): 0.5, (1, 2): 0.01}, 4, 2),
+    (ZGAP_RELATIVE, on_path({(0, 1): 0.5, (6, 7): 0.1}), 4, 2),
+    (ZGAP_RELATIVE, {(0, 1): -0.4}, 4, 0),
+]
+
+
+@pytest.mark.parametrize("variant,values,zeta_bin,rung", ZETA_EXAMPLES)
+def test_each_reachable_zeta_bin_and_rung(variant, values, zeta_bin, rung):
+    g, est = edge_estimate(values)
+    assert zeta_bin_and_rung(g, est, variant) == (zeta_bin, rung)
+
+
+def test_every_reachable_zeta_bin_and_rung_has_an_example():
+    for variant, (_, zeta_bins, rungs) in ZETA_SCALES.items():
+        examples = [x for x in ZETA_EXAMPLES if x[0] == variant]
+        assert {x[2] for x in examples} == zeta_bins and {x[3] for x in examples} == rungs

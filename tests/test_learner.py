@@ -1,11 +1,12 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from rqshot.allocation import ACTIONS, HeuristicPolicy
+from rqshot.driver import DriverConfig
 from rqshot.features import BinBoundaries, DiscreteState, StepState, discretize
 from rqshot.instance import generate_instance
 from rqshot.learner import (
@@ -212,7 +213,8 @@ class TestCheckpoint:
         t.row(2, (1, 6, 0, 4))[0] = 0.5
         return PolicyCheckpoint(
             qtables=t, config=TrainConfig(), bin_boundaries=BinBoundaries(), n=14, n_c=8,
-            instance_id="n14d08s1", validation_sr=0.95, lambda_trace=[2.0, 2.1],
+            zgap_variant="literal", k_top=3, instance_id="n14d08s1", validation_sr=0.95,
+            lambda_trace=[2.0, 2.1],
         )
 
     def test_round_trip_greedy_identical(self, tmp_path):
@@ -237,20 +239,31 @@ class TestCheckpoint:
         ckpt.save(path)
         other = BinBoundaries(zeta_edges=(1.0, 1.5, 2.0, 2.5, 3.0, 4.0))
         with pytest.raises(CheckpointError, match="bin boundaries"):
-            PolicyCheckpoint.load(path, expected_bins=other)
+            PolicyCheckpoint.load(path, DriverConfig(bins=other))
 
     def test_matching_bins_accepted(self, tmp_path):
         ckpt = self._checkpoint()
         path = tmp_path / "ckpt.json"
         ckpt.save(path)
-        PolicyCheckpoint.load(path, expected_bins=BinBoundaries())
+        PolicyCheckpoint.load(path, DriverConfig())
 
     def test_n_c_mismatch_rejected(self, tmp_path):
+        # n_c keys the rows, zgap_variant sets the scale of zeta and k_top the edges kappa counts:
+        # a table trained under CI's toy config means other states under any one of them changed
         path = tmp_path / "ckpt.json"
-        self._checkpoint().save(path)
-        assert PolicyCheckpoint.load(path, expected_n_c=8).n_c == 8
-        with pytest.raises(CheckpointError, match="n_c = 8, not 6"):
-            PolicyCheckpoint.load(path, expected_n_c=6)
+        toy = DriverConfig(zgap_variant="relative_gap", k_top=4,
+                           bins=BinBoundaries(zeta_edges=(0.1, 0.2, 0.4, 0.6)))
+        replace(self._checkpoint(), bin_boundaries=toy.bins, zgap_variant=toy.zgap_variant,
+                k_top=toy.k_top).save(path)
+        assert PolicyCheckpoint.load(path, toy).n_c == 8
+        for other, message in [
+            (replace(toy, n_c=6), "n_c = 8, not 6"),
+            (replace(toy, zgap_variant="literal"), "zgap_variant = relative_gap, not literal"),
+            (replace(toy, k_top=3), "k_top = 4, not 3"),
+            (replace(toy, bins=BinBoundaries(zeta_edges=(0.1, 0.2, 0.4, 0.5))), "bin boundaries"),
+        ]:
+            with pytest.raises(CheckpointError, match=message):
+                PolicyCheckpoint.load(path, other)
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,6 @@ from rqshot.qaoa import (
     CorrelationSampler,
     ShotPool,
     _beta_minimum,
-    _bounded_minimum,
     _EdgeTerms,
     _mixer_factors,
     _phase_state,
@@ -468,10 +467,13 @@ class TestDistinctCosines:
             assert np.array_equal(terms.values[terms.rows],
                                   np.stack([rows.ru, rows.rv, rows.rsum, rows.rdiff]))
             singles = [np.array([x]) for x in rng.uniform(0, 2 * np.pi, 4)]
-            for gammas in [grid, rng.uniform(0, 2 * np.pi, 16), *singles]:
+            stencil = rng.uniform(0, 2 * np.pi) + np.array([-1e-6, 0.0, 1e-6])
+            for gammas in [grid, rng.uniform(0, 2 * np.pi, 16), stencil, *singles]:
                 for got, want in zip(terms.ab(gammas), rows.ab(gammas)):
                     assert got.shape == want.shape == (len(gammas), g.edge_count)
                     assert np.array_equal(got, want)
+                    # the sums optimize_angles takes: equal bits need equal memory layouts too
+                    assert np.array_equal(got @ terms.j, want @ rows.j)
 
     def test_optimize_angles_equals_row_array_search(self, monkeypatch):
         graphs = [g for g in coupling_graphs(np.random.default_rng(16)) if g.edge_count > 0]
@@ -548,71 +550,87 @@ def gamma_envelope(g):
     return envelope
 
 
-def refinement_brackets(surface):
-    """Brackets as optimize_angles draws them around grid points, plus one ending at 2 pi.
-
-    The grid's winner, its first point (clipped at 0) and its last point,
-    whose upper end falls one ulp short of 2 pi, so a bracket clipped at
-    2 pi is added by hand.
-    """
-    step = 2 * np.pi / ANGLE_GRID_POINTS
-    grid = np.linspace(0.0, 2 * np.pi, ANGLE_GRID_POINTS, endpoint=False)
-    points = {0, int(np.argmin(surface)), ANGLE_GRID_POINTS - 1}
-    brackets = [(max(0.0, float(grid[i]) - step), min(2 * np.pi, float(grid[i]) + step))
-                for i in sorted(points)]
-    return brackets + [(2 * np.pi - step, 2 * np.pi)]
-
-
 def bits(*values):
     return np.array(values, dtype=float).tobytes()
 
 
-class TestBoundedMinimum:
-    """The private Brent search against SciPy's bounded minimize_scalar, the reference."""
+class TestStencilRefinement:
+    """The parabolic refinement against SciPy's bounded minimize_scalar, the reference."""
 
-    @staticmethod
-    def scipy_minimum(f, lo, hi):
-        result = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                          options={"xatol": 1e-10})
-        return result.x, result.fun
-
-    def test_equals_scipy_bit_for_bit_on_reduced_graphs(self):
+    @pytest.fixture(scope="class")
+    def graphs(self):
         graphs = reduced_graphs(200, np.random.default_rng(2282))
         assert len({g.signature() for g in graphs}) >= 150
+        return graphs
+
+    def test_close_to_scipy_bounded_search(self, graphs):
+        step = 2 * np.pi / ANGLE_GRID_POINTS
         grid = np.linspace(0.0, 2 * np.pi, ANGLE_GRID_POINTS, endpoint=False)
         for g in graphs:
             envelope = gamma_envelope(g)
+            winner = grid[np.argmin(envelope(grid))]
+            ref = optimize.minimize_scalar(
+                lambda x: float(envelope(np.array([x]))[0]),
+                bounds=(max(0.0, winner - step), min(2 * np.pi, winner + step)),
+                method="bounded", options={"xatol": 1e-10})
+            got = optimize_angles(g)
+            assert abs(got.gamma - ref.x) <= 1e-8
+            assert energy_expectation(g, got) <= ref.fun + 1e-12
 
-            def f(x):
-                return float(envelope(np.array([x]))[0])
+    def test_at_most_eight_stencils_after_the_grid(self, graphs, monkeypatch):
+        batches = []
+        ab = _EdgeTerms.ab
 
-            brackets = refinement_brackets(envelope(grid))
-            assert brackets[0][0] == 0.0 and brackets[-1][1] == 2 * np.pi
-            for lo, hi in brackets:
-                ours = _bounded_minimum(f, lo, hi, xatol=1e-10)
-                assert bits(*ours) == bits(*self.scipy_minimum(f, lo, hi))
-                assert lo <= ours[0] <= hi
+        def counted(self, gammas):
+            batches.append(len(gammas))
+            return ab(self, gammas)
 
-    @pytest.mark.parametrize("nan_above", [-np.inf, 0.6])
-    def test_nan_objective_equals_scipy(self, nan_above):
-        def f(x):
-            return np.nan if x > nan_above else (x - 0.5) ** 2
+        monkeypatch.setattr(_EdgeTerms, "ab", counted)
+        for g in graphs:
+            batches.clear()
+            optimize_angles(g)
+            assert batches[0] == ANGLE_GRID_POINTS
+            assert set(batches[1:]) <= {3} and len(batches) <= 9
 
-        ours = _bounded_minimum(f, 0.0, 1.0, xatol=1e-10)
-        assert bits(*ours) == bits(*self.scipy_minimum(f, 0.0, 1.0))
-
-    def test_nan_refinement_keeps_grid_gamma(self, monkeypatch):
-        search = qaoa._bounded_minimum
-
-        def nan_search(f, a, b, xatol):
-            x, fx = search(lambda _: np.nan, a, b, xatol)
-            assert np.isnan(fx)
-            return x, fx
-
-        monkeypatch.setattr(qaoa, "_bounded_minimum", nan_search)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("off_grid", [np.nan, 0.0], ids=["nan", "flat"])
+    def test_nan_or_flat_off_the_grid_keeps_grid_winner(self, monkeypatch, off_grid):
+        # a NaN never beats the grid winner, and a parabola that is not convex ends the search
         g = generate_regular_gaussian(10, 3, seed=11)
         grid = np.linspace(0.0, 2 * np.pi, ANGLE_GRID_POINTS, endpoint=False)
-        assert optimize_angles(g).gamma == grid[np.argmin(gamma_envelope(g)(grid))]
+        terms = _EdgeTerms(g)
+        av, bv = terms.ab(grid)
+        surface, betas = _beta_minimum(av @ terms.j, bv @ terms.j)
+        batches = []
+        ab = _EdgeTerms.ab
+
+        def off_the_grid(self, gammas):
+            batches.append(len(gammas))
+            a, b = ab(self, gammas)
+            if len(gammas) == ANGLE_GRID_POINTS:
+                return a, b
+            return np.full_like(a, off_grid), np.full_like(b, off_grid)
+
+        monkeypatch.setattr(_EdgeTerms, "ab", off_the_grid)
+        gi = np.argmin(surface)
+        assert optimize_angles(g) == Angles(gamma=grid[gi], beta=betas[gi])
+        assert batches == [ANGLE_GRID_POINTS, 3]
+
+    @pytest.mark.parametrize("past_last_point", [0.4, 0.9, 1.3])
+    def test_winner_at_the_grid_end(self, past_last_point):
+        # one edge of coupling J has energy -|J sin(2 gamma J)|, least at gamma* = pi / (4J)
+        grid = np.linspace(0.0, 2 * np.pi, ANGLE_GRID_POINTS, endpoint=False)
+        target = (ANGLE_GRID_POINTS - 1 + past_last_point) * grid[1]
+        j = np.pi / (4 * target)
+        g = make_graph({(0, 1): j})
+        assert np.argmin(gamma_envelope(g)(grid)) == ANGLE_GRID_POINTS - 1
+        a = optimize_angles(g)
+        assert 0 <= a.gamma <= 2 * np.pi
+        if target < 2 * np.pi:
+            assert abs(a.gamma - target) <= 1e-8
+            assert energy_expectation(g, a) == pytest.approx(-j, abs=1e-15)
+        else:  # past 2 pi the search ends at the bracket's edge
+            assert a.gamma == pytest.approx(2 * np.pi, abs=1e-9)
 
 
 class TestOptimizeAngles:
