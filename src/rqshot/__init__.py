@@ -25,7 +25,6 @@ from .features import (
 from .instance import (
     ContractionRecord,
     Instance,
-    ReducedInstance,
     WeightedGraph,
     brute_force_optimum,
     contract,

@@ -92,8 +92,6 @@ def greedy_action(
 class UniformPolicy:
     """Spend the cap regardless of state: the top rung of the ladder."""
 
-    name = "uniform"
-
     def decide(self, state, disc, cap, k_probe, rng=None) -> AllocationDecision:
         return compose(N_ACTIONS - 1, 0, cap, k_probe)
 
@@ -101,16 +99,12 @@ class UniformPolicy:
 class HeuristicPolicy:
     """The hand-crafted rule with no residual adjustment."""
 
-    name = "heuristic"
-
     def decide(self, state, disc, cap, k_probe, rng=None) -> AllocationDecision:
         return compose(heuristic_index(state), 0, cap, k_probe)
 
 
 class RLPolicy:
     """Greedy residual policy read from a pair of tabular Q functions."""
-
-    name = "rl"
 
     def __init__(self, q1: Mapping[tuple, Sequence[float]], q2: Mapping[tuple, Sequence[float]]):
         self.q1 = q1

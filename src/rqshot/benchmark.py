@@ -55,21 +55,20 @@ class ProtocolConfig:
         for name in ("screen_trials", "screen_cap", "cal_trials", "cal_resolution", "eval_trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("hard_threshold", "cal_target", "operational_floor"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         grid = self.cap_grid
         if not grid or grid[0] < 1 or any(a >= b for a, b in zip(grid, grid[1:])):
             raise ValueError(f"cap_grid must be positive and strictly increasing, got {grid}")
 
 
-def make_policy(name: str, checkpoint=None):
-    """Build a policy object from its name; 'rl' needs a checkpoint."""
+def make_policy(name: str):
+    """A checkpoint-free policy by name: uniform or heuristic."""
     if name == "uniform":
         return UniformPolicy()
     if name == "heuristic":
         return HeuristicPolicy()
-    if name == "rl":
-        if checkpoint is None:
-            raise ValueError("rl policy needs a checkpoint")
-        return checkpoint.policy()
     raise ValueError(f"unknown policy {name!r}")
 
 
@@ -285,13 +284,9 @@ def evaluate_methods(
     return records, trials
 
 
-def operational_filter(
-    records: list[EvaluationRecord], floor: float
-) -> tuple[list[EvaluationRecord], list[EvaluationRecord]]:
-    """Split records into the operational subset and the excluded remainder."""
-    kept = [r for r in records if r.uniform_sr >= floor]
-    dropped = [r for r in records if r.uniform_sr < floor]
-    return kept, dropped
+def operational_filter(records: list[EvaluationRecord], floor: float) -> list[EvaluationRecord]:
+    """The operational subset: the records whose uniform SR is at least floor."""
+    return [r for r in records if r.uniform_sr >= floor]
 
 
 def sr_floor_coverage(

@@ -140,7 +140,14 @@ def _resolve_cap(arg: str, inst: Instance, caps_dir: str | None) -> int:
             raise FileNotFoundError(f"no calibration file for {inst.instance_id} in {caps_dir}")
     else:
         raise FileNotFoundError("no cap given: pass --cap or --caps-dir")
-    return int(json.loads(path.read_text())["cap"])
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # a directory, no permission, not UTF-8 or not JSON
+        raise ValueError(f"unreadable calibration file {path}: {exc}") from None
+    cap = data.get("cap") if isinstance(data, dict) else None
+    if type(cap) is not int:  # a bool is an int subclass, and a float is truncated by int()
+        raise ValueError(f"calibration file {path} must be a JSON object whose cap is an integer")
+    return cap
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
@@ -164,14 +171,12 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     policies: dict[str, object] = {}
-    checkpoint = None
     for name in args.policies.split(","):
         name = name.strip()
         if name == "rl":
             if not args.checkpoint:
                 raise FileNotFoundError("rl policy requested but no --checkpoint given")
-            checkpoint = PolicyCheckpoint.load(args.checkpoint, cfg.driver)
-            policies[name] = bm.make_policy("rl", checkpoint)
+            policies[name] = PolicyCheckpoint.load(args.checkpoint, cfg.driver).policy()
         else:
             policies[name] = bm.make_policy(name)
 
@@ -223,7 +228,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    operational, excluded = bm.operational_filter(records, cfg.protocol.operational_floor)
+    operational = bm.operational_filter(records, cfg.protocol.operational_floor)
     held = [r for r in operational if r.category not in ("training", "validation")]
 
     views = {

@@ -37,7 +37,6 @@ from .features import (
 from .instance import (
     ContractionRecord,
     Instance,
-    ReducedInstance,
     WeightedGraph,
     brute_force_optimum,
     contract,
@@ -101,13 +100,13 @@ class EpisodePolicy(Protocol):
 
 @dataclass(eq=False, slots=True)
 class _Node:
-    """A reduced graph and what its StepCache made for it; children by (edge position, sign)."""
+    """A reduced graph and what its StepCache made for it; children by elimination."""
 
     graph: WeightedGraph
     angles: Angles | None = None
     exact: np.ndarray | None = None
     residual: dict[int, int] | None = None
-    children: dict[tuple[int, int], _Node] = field(default_factory=dict)
+    children: dict[ContractionRecord, _Node] = field(default_factory=dict)
 
 
 class StepCache:
@@ -136,12 +135,11 @@ class StepCache:
             node = self._nodes[key] = _Node(g)
         return node
 
-    def descend(self, node: _Node, i: int, rec: ContractionRecord) -> _Node:
-        """The child that rec, on edge i of node's graph, leads to; contract builds it on first sight."""
-        child = node.children.get((i, rec.sign))
+    def descend(self, node: _Node, rec: ContractionRecord) -> _Node:
+        """The child that rec leads to from node; contract builds it on first sight."""
+        child = node.children.get(rec)
         if child is None:
-            g = contract(ReducedInstance.fresh(node.graph), rec).graph
-            child = node.children[i, rec.sign] = self.node(g)
+            child = node.children[rec] = self.node(contract(node.graph, rec))
         return child
 
     def sampler(self, node: _Node, cfg: DriverConfig) -> CorrelationSampler:
@@ -211,19 +209,19 @@ class EpisodeResult:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "steps"}
 
 
-def select_edge(g: WeightedGraph, est: np.ndarray, order: np.ndarray) -> tuple[int, int, int]:
-    """Pick the edge with the largest |correlation|: the first of ``order``.
+def select_edge(g: WeightedGraph, est: np.ndarray, order: np.ndarray) -> ContractionRecord:
+    """The elimination on the edge with the largest |correlation|: the first of ``order``.
 
     ``order`` is edge_order(est), so ties in magnitude break
-    lexicographically.  Returns (eliminated, kept, sign): the larger
-    endpoint id is eliminated, and sign(0) is +1.
+    lexicographically.  The larger endpoint id is eliminated, and sign(0)
+    is +1.
     """
     if not len(order):
         raise ValueError("cannot select an edge from an empty estimate")
     i = int(order[0])
     a, b = g.edge_index()[0][i].tolist()
     kept, eliminated = g.nodes[a], g.nodes[b]
-    return eliminated, kept, -1 if est[i] < 0 else 1
+    return ContractionRecord(eliminated=eliminated, kept=kept, sign=-1 if est[i] < 0 else 1)
 
 
 def success(e_out: float, e_opt: float, rho_star: float = 0.99) -> int:
@@ -294,10 +292,9 @@ def run_episode(
             main_est = sampler.estimate(pool)
 
         order = edge_order(main_est)
-        elim, kept, sign = select_edge(g, main_est, order)
-        rec = ContractionRecord(eliminated=elim, kept=kept, sign=sign)
+        rec = select_edge(g, main_est, order)
         stack.append(rec)
-        node = cache.descend(node, int(order[0]), rec)
+        node = cache.descend(node, rec)
         steps.append(
             StepLog(
                 step=len(steps) + 1,
@@ -309,8 +306,8 @@ def run_episode(
                 baseline_index=decision.baseline_index,
                 residual=decision.residual,
                 shots=k_t,
-                edge=(kept, elim),
-                sign=sign,
+                edge=(rec.kept, rec.eliminated),
+                sign=rec.sign,
                 top_two=tuple(np.abs(main_est[order[:2]]).tolist()),
             )
         )

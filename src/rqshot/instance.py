@@ -8,10 +8,10 @@ The cut value of a spin assignment z in {-1,+1}^n is
 
 and the Ising energy is sum J_uv z_u z_v, so maximizing the cut is the same
 as minimizing the energy.  Variable elimination substitutes
-z_u = sign * z_v for one edge (u, v), merging u's couplings into v and
-accumulating a constant energy offset; `contract` performs one such step on
-the coupling matrix and `reconstruct_assignment` undoes a whole stack of
-them.  `hop_distance` is the breadth-first hop count between qubit sets.
+z_u = sign * z_v for one edge (u, v), merging u's couplings into v;
+`contract` maps a graph to the graph of one such step and
+`reconstruct_assignment` undoes a whole stack of them.  `hop_distance` is
+the breadth-first hop count between qubit sets.
 
 `brute_force_optimum` is the exact Max-Cut solver behind every instance's
 optimum and every episode's residual, on one path at every size.  It builds
@@ -159,38 +159,24 @@ class ContractionRecord:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
-    """A graph plus the constant energy offset and the elimination stack."""
-
-    graph: WeightedGraph
-    offset: float
-    stack: tuple[ContractionRecord, ...]
-
-    @classmethod
-    def fresh(cls, graph: WeightedGraph) -> "ReducedInstance":
-        return cls(graph=graph, offset=0.0, stack=())
-
-
-def contract(inst: ReducedInstance, rec: ContractionRecord) -> ReducedInstance:
-    """Eliminate rec.eliminated by substituting z = sign * z_kept.
+def contract(g: WeightedGraph, rec: ContractionRecord) -> WeightedGraph:
+    """The graph left by eliminating rec.eliminated through z = sign * z_kept.
 
     Couplings of the eliminated node merge into the kept node; merged values
     with magnitude below COUPLING_EPS delete the edge.  The (eliminated,
-    kept) coupling itself becomes a constant contribution sign * J added to
-    the offset.  The merge runs on the coupling matrix, one addition per
-    merged pair, and the surviving upper-triangle entries come out in
-    lexicographic order, so the result needs no re-validation or sorting.
+    kept) coupling itself becomes the constant sign * J, which is not kept:
+    an episode scores its reconstructed assignment on the original graph.
+    The merge runs on the coupling matrix, one addition per merged pair, and
+    the surviving upper-triangle entries come out in lexicographic order, so
+    the result needs no re-validation or sorting.
     """
-    g = inst.graph
     u_star, v_star, sign = rec.eliminated, rec.kept, rec.sign
     nodes = g.nodes
     if u_star not in nodes or v_star not in nodes:
         raise ContractionError(f"inactive endpoint in contraction {u_star}->{v_star}")
     qu, qv = nodes.index(u_star), nodes.index(v_star)
     w = g.coupling_matrix()
-    j_uv = float(w[qu, qv])
-    if j_uv == 0.0:
+    if w[qu, qv] == 0.0:
         raise ContractionError(f"no edge ({u_star}, {v_star}) to contract")
 
     w[qv] += sign * w[qu]
@@ -201,11 +187,7 @@ def contract(inst: ReducedInstance, rec: ContractionRecord) -> ReducedInstance:
     a, b = np.nonzero(np.abs(w) >= COUPLING_EPS)
     upper = a < b  # nonzero is row-major, so these rows stay in lexicographic order
     a, b = a[upper], b[upper]
-    return ReducedInstance(
-        graph=WeightedGraph._trusted(nodes[:qu] + nodes[qu + 1:], np.stack((a, b), axis=1), w[a, b]),
-        offset=inst.offset + sign * j_uv,
-        stack=inst.stack + (rec,),
-    )
+    return WeightedGraph._trusted(nodes[:qu] + nodes[qu + 1:], np.stack((a, b), axis=1), w[a, b])
 
 
 def reconstruct_assignment(

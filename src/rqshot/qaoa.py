@@ -334,11 +334,12 @@ class CorrelationSampler:
       statevector_sampled one shared pool of basis-state samples per estimate
       binomial            independent per-edge Binomial(k, (1+M)/2) draws
     ``auto`` picks statevector sampling up to ``sv_threshold`` qubits and
-    the binomial model above it; a statevector request above
-    STATEVECTOR_MAX_QUBITS samples binomially instead.  Either sampled mode
-    yields a ShotPool, and a pool of k shots with c disagreements on an
-    edge estimates its correlation as (k - 2c) / k.  Estimates and exact
-    values are float arrays in ``edge_list()`` order.
+    the binomial model above it.  Statevector sampling above
+    STATEVECTOR_MAX_QUBITS, forced or through the threshold, is a
+    ValueError.  Either sampled mode yields a ShotPool, and a pool of k
+    shots with c disagreements on an edge estimates its correlation as
+    (k - 2c) / k.  Estimates and exact values are float arrays in
+    ``edge_list()`` order.
     """
 
     def __init__(
@@ -355,7 +356,8 @@ class CorrelationSampler:
         if mode == MODE_AUTO:
             mode = MODE_STATEVECTOR if g.node_count <= sv_threshold else MODE_BINOMIAL
         if mode == MODE_STATEVECTOR and g.node_count > STATEVECTOR_MAX_QUBITS:
-            mode = MODE_BINOMIAL
+            raise ValueError(f"{MODE_STATEVECTOR} is limited to {STATEVECTOR_MAX_QUBITS} qubits, "
+                             f"got {g.node_count}")
         if mode not in (MODE_EXACT, MODE_STATEVECTOR, MODE_BINOMIAL):
             raise ValueError(f"unknown sampling mode {mode!r}")
         self.mode = mode

@@ -20,11 +20,7 @@ def _as_entropy(part) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def seed_sequence(*parts) -> np.random.SeedSequence:
+def make_rng(*parts) -> np.random.Generator:
     if not parts:
         raise ValueError("need at least one seed part")
-    return np.random.SeedSequence([_as_entropy(p) for p in parts])
-
-
-def make_rng(*parts) -> np.random.Generator:
-    return np.random.default_rng(seed_sequence(*parts))
+    return np.random.default_rng(np.random.SeedSequence([_as_entropy(p) for p in parts]))

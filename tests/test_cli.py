@@ -387,6 +387,33 @@ class TestKnobsTakeEffect:
                    "--out", str(out)) == expected
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--cap", "--caps-dir"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("write", [
+        lambda f: f.mkdir(),
+        lambda f: f.write_text("not json"),
+        lambda f: f.write_text("[1, 2]"),
+        lambda f: f.write_text('{"sr_at_cap": 1.0}'),
+        lambda f: f.write_text('{"cap": 64.7}'),
+        lambda f: f.write_text('{"cap": true}'),
+    ], ids=["directory", "not-json", "not-an-object", "no-cap", "float-cap", "bool-cap"])
+    def test_bad_calibration_file_is_usage_error(self, pipeline, tmp_path, capsys, write, command,
+                                                 flag):
+        _, inst_path, _ = pipeline
+        cap_file = tmp_path / "caps" / f"{inst_path.stem}.cap.json"
+        cap_file.parent.mkdir()
+        write(cap_file)
+        out = tmp_path / "out"
+        source = str(cap_file if flag == "--cap" else cap_file.parent)
+        argv = {
+            "train": ("train", "--instance", str(inst_path), "--episodes", "2"),
+            "eval": ("eval", "--instances", str(inst_path), "--policies", "uniform"),
+        }[command]
+        assert run(*argv, flag, source, "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cap_file) in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["screen", "calibrate", "train", "eval"])
     def test_statevector_mode_above_its_qubit_limit_is_usage_error(self, tmp_path, capsys, command):
         # statevector_sampled cannot take effect on 24 qubits, so nothing runs or is written
@@ -786,6 +813,9 @@ class TestConfigFile:
         "[train]\nlambda0 = nan\n",
         "[benchmark]\ncal_target = nan\n",
         "[benchmark]\nhard_threshold = inf\n",
+        "[benchmark]\ncal_target = 1.5\n",
+        "[benchmark]\noperational_floor = 7\n",
+        "[benchmark]\nhard_threshold = -3\n",
         "[bins]\nzeta_edges = 1.0 nan 2.0\n",
         "[bins]\nkappa_edges = 0.1 -inf\n",
         "[sampling]\nzgap_variant = relative_gap\n",
@@ -799,7 +829,8 @@ class TestConfigFile:
              "alpha-above-one", "discount-above-one", "negative-ema_beta", "p_star-above-one",
              "negative-mu_lambda", "negative-eta", "negative-extra_fail_penalty", "jobs-zero", "negative-jobs",
              "sv_threshold-above-max-qubits", "negative-sv_threshold", "nan-rho_star", "rho_star-above-one",
-             "rho_star-zero", "nan-lambda0", "nan-cal_target", "infinite-hard_threshold", "nan-zeta-edge",
+             "rho_star-zero", "nan-lambda0", "nan-cal_target", "infinite-hard_threshold",
+             "cal_target-above-one", "operational_floor-above-one", "negative-hard_threshold", "nan-zeta-edge",
              "infinite-kappa-edge", "relative_gap-default-edges", "relative_gap-edge-zero",
              "relative_gap-edge-one", "jobs-flag-zero"])
     def test_out_of_range_value_is_usage_error(self, pipeline, tmp_path, capsys, text, flags):

@@ -11,7 +11,6 @@ from rqshot.features import edge_order, probe_shot_count
 from rqshot.instance import (
     ContractionRecord,
     Instance,
-    ReducedInstance,
     WeightedGraph,
     contract,
     generate_instance,
@@ -20,7 +19,7 @@ from rqshot.instance import (
 from .conftest import edge_estimate, make_graph
 
 
-def select_from(values: dict) -> tuple[int, int, int]:
+def select_from(values: dict) -> ContractionRecord:
     g, est = edge_estimate(values)
     return select_edge(g, est, edge_order(est))
 
@@ -37,20 +36,16 @@ def exact_cfg():
 
 class TestSelectEdge:
     def test_largest_magnitude_wins(self):
-        elim, kept, sign = select_from({(0, 1): 0.9, (1, 2): -0.95})
-        assert (elim, kept, sign) == (2, 1, -1)
+        assert select_from({(0, 1): 0.9, (1, 2): -0.95}) == ContractionRecord(2, 1, -1)
 
     def test_lexicographic_tie_break(self):
-        elim, kept, sign = select_from({(0, 1): 0.5, (0, 2): 0.5})
-        assert (elim, kept) == (1, 0)
+        assert select_from({(0, 1): 0.5, (0, 2): 0.5}) == ContractionRecord(1, 0, 1)
 
     def test_zero_sign_convention(self):
-        _, _, sign = select_from({(0, 1): 0.0})
-        assert sign == 1
+        assert select_from({(0, 1): 0.0}).sign == 1
 
     def test_larger_endpoint_eliminated(self):
-        elim, kept, _ = select_from({(3, 7): -0.4})
-        assert (elim, kept) == (7, 3)
+        assert select_from({(3, 7): -0.4}) == ContractionRecord(7, 3, -1)
 
     def test_empty_estimate_rejected(self):
         with pytest.raises(ValueError):
@@ -267,8 +262,7 @@ class TestStepCacheNodes:
         w, pos, edges = g0.coupling_matrix(), {u: q for q, u in enumerate(g0.nodes)}, g0.edge_list()
         e1, e2 = next((a, b) for a in edges for b in edges
                       if not any(w[pos[x], pos[y]] for x in a for y in b))
-        fresh = ReducedInstance.fresh(g0)
-        g1, g2 = (contract(fresh, edge_record(g0, edges.index(e), 1)).graph for e in (e1, e2))
+        g1, g2 = (contract(g0, edge_record(g0, edges.index(e), 1)) for e in (e1, e2))
         script = [edges.index(e1), g1.edge_list().index(e2), 0,
                   edges.index(e2), g2.edge_list().index(e1), 0]
 
@@ -289,7 +283,6 @@ class TestStepCacheNodes:
         assert calls == {"optimize_angles": 4, "brute_force_optimum": 1}
 
     def test_hit_path_equals_contract_bit_for_bit(self):
-        # contract's offset and stack are covered in test_instance.py; a node holds the graph
         rng = np.random.default_rng(11)
         for _ in range(20):
             # couplings of +-1 and 0.5, so that merges also cancel edges exactly
@@ -300,7 +293,7 @@ class TestStepCacheNodes:
             cache = StepCache()
             walk, seen = [], []
             for warm in (False, True):
-                node, ref = cache.node(g), ReducedInstance.fresh(g)
+                node, ref = cache.node(g), g
                 for step in range(4):
                     if node.graph.edge_count == 0:
                         break
@@ -309,9 +302,9 @@ class TestStepCacheNodes:
                     i, sign = walk[step]
                     rec = edge_record(node.graph, i, sign)
                     ref = contract(ref, rec)
-                    node = cache.descend(node, i, rec)
-                    assert node.graph.nodes == ref.graph.nodes
-                    for a, b in zip(node.graph.edge_index(), ref.graph.edge_index()):
+                    node = cache.descend(node, rec)
+                    assert node.graph.nodes == ref.nodes
+                    for a, b in zip(node.graph.edge_index(), ref.edge_index()):
                         assert a.dtype == b.dtype and a.shape == b.shape
                         assert a.tobytes() == b.tobytes()
                     if warm:  # read off the children the cold walk made

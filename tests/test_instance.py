@@ -16,7 +16,6 @@ from rqshot.instance import (
     ContractionError,
     ContractionRecord,
     Instance,
-    ReducedInstance,
     WeightedGraph,
     brute_force_optimum,
     contract,
@@ -144,11 +143,11 @@ def relabelled(g, rng):
     return WeightedGraph(new_id.values(), {(new_id[u], new_id[v]): j for (u, v), j in g.edges().items()})
 
 
-def dict_contract(nodes, edges, offset, rec):
+def dict_contract(nodes, edges, rec):
     """Reference: the dict-based contraction that the coupling-matrix form replaced."""
     u_star, v_star, sign = rec.eliminated, rec.kept, rec.sign
     edges = dict(edges)
-    j_uv = edges.pop(tuple(sorted((u_star, v_star))))
+    del edges[tuple(sorted((u_star, v_star)))]
     for (a, b), j in list(edges.items()):
         if u_star not in (a, b):
             continue
@@ -159,7 +158,7 @@ def dict_contract(nodes, edges, offset, rec):
             edges.pop(key, None)
         else:
             edges[key] = merged
-    return tuple(x for x in nodes if x != u_star), dict(sorted(edges.items())), offset + sign * j_uv
+    return tuple(x for x in nodes if x != u_star), dict(sorted(edges.items()))
 
 
 class TestContract:
@@ -170,82 +169,81 @@ class TestContract:
             n = int(rng.integers(3, 14))
             p = float(rng.uniform(0.3, 0.9))
             g = relabelled((integer_weighted_graph if t % 2 else random_weighted_graph)(n, p, rng), rng)
-            red = ReducedInstance.fresh(g)
-            nodes, edges, offset = g.nodes, g.edges(), 0.0
-            while red.graph.edge_count:
-                u, v = red.graph.edge_list()[int(rng.integers(red.graph.edge_count))]
+            red = g
+            nodes, edges = g.nodes, g.edges()
+            while red.edge_count:
+                u, v = red.edge_list()[int(rng.integers(red.edge_count))]
                 if rng.random() < 0.5:
                     u, v = v, u
                 rec = ContractionRecord(u, v, int(rng.choice([-1, 1])))
                 nbrs = {x: {a if b == x else b for a, b in edges if x in (a, b)} for x in (u, v)}
                 before = len(edges)
                 red = contract(red, rec)
-                nodes, edges, offset = dict_contract(nodes, edges, offset, rec)
-                assert red.graph.nodes == nodes
-                assert red.graph.edge_list() == list(edges)
-                assert red.graph.edges() == edges
-                assert red.offset == offset
+                nodes, edges = dict_contract(nodes, edges, rec)
+                assert red.nodes == nodes
+                assert red.edge_list() == list(edges)
+                assert red.edges() == edges
                 steps += 1
                 cancelled += before - 1 - len(nbrs[u] & nbrs[v]) - len(edges)
         assert steps > 300 and cancelled > 0
 
     def test_triangle_merge(self):
         g = make_graph({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
-        red = contract(ReducedInstance.fresh(g), ContractionRecord(0, 1, +1))
-        assert red.graph.nodes == (1, 2)
-        assert red.graph.edges() == {(1, 2): pytest.approx(2.0)}
-        assert red.offset == pytest.approx(1.0)
+        red = contract(g, ContractionRecord(0, 1, +1))
+        assert red.nodes == (1, 2)
+        assert red.edges() == {(1, 2): pytest.approx(2.0)}
 
     def test_exact_cancellation_removes_edge(self):
         g = make_graph({(0, 1): 1.0, (1, 2): 1.0, (0, 2): -1.0})
-        red = contract(ReducedInstance.fresh(g), ContractionRecord(0, 1, +1))
-        assert red.graph.edge_count == 0
-        assert red.offset == pytest.approx(1.0)
+        red = contract(g, ContractionRecord(0, 1, +1))
+        assert red.edge_count == 0
 
     def test_path_negative_sign(self):
         g = make_graph({(0, 1): 0.5, (1, 2): 0.3})
-        red = contract(ReducedInstance.fresh(g), ContractionRecord(0, 1, -1))
-        assert red.graph.edges() == {(1, 2): pytest.approx(0.3)}
-        assert red.offset == pytest.approx(-0.5)
+        red = contract(g, ContractionRecord(0, 1, -1))
+        assert red.edges() == {(1, 2): pytest.approx(0.3)}
 
     def test_missing_edge_rejected(self):
         g = make_graph({(0, 1): 1.0, (2, 3): 1.0})
         with pytest.raises(ContractionError):
-            contract(ReducedInstance.fresh(g), ContractionRecord(0, 2, +1))
+            contract(g, ContractionRecord(0, 2, +1))
 
     def test_inactive_endpoint_rejected(self):
         g = make_graph({(0, 1): 1.0, (1, 2): 1.0})
-        red = contract(ReducedInstance.fresh(g), ContractionRecord(0, 1, +1))
+        red = contract(g, ContractionRecord(0, 1, +1))
         with pytest.raises(ContractionError):
             contract(red, ContractionRecord(0, 1, +1))
 
     def test_node_count_drops_by_one_no_self_loops(self, rng):
         g = random_weighted_graph(8, 0.6, rng)
-        red = ReducedInstance.fresh(g)
-        while red.graph.edge_count > 0 and red.graph.node_count > 2:
-            (u, v), _ = next(iter(red.graph.edges().items()))
-            before = red.graph.node_count
+        red = g
+        while red.edge_count > 0 and red.node_count > 2:
+            (u, v), _ = next(iter(red.edges().items()))
+            before = red.node_count
             red = contract(red, ContractionRecord(max(u, v), min(u, v), -1))
-            assert red.graph.node_count == before - 1
-            assert all(u != v for u, v in red.graph.edge_list())
+            assert red.node_count == before - 1
+            assert all(u != v for u, v in red.edge_list())
 
     def test_energy_identity_random_sequences(self, rng):
         # acceptance criterion 3 at unit-test scale
         for _ in range(20):
             n = int(rng.integers(4, 12))
             g = random_weighted_graph(n, 0.5, rng)
-            red = ReducedInstance.fresh(g)
+            # the constant of each contracted coupling, sign * J, is summed here
+            red, stack, offset = g, [], 0.0
             for _ in range(int(rng.integers(1, n - 1))):
-                if red.graph.edge_count == 0:
+                if red.edge_count == 0:
                     break
-                edges = red.graph.edge_list()
-                u, v = edges[int(rng.integers(len(edges)))]
-                sign = int(rng.choice([-1, 1]))
-                red = contract(red, ContractionRecord(max(u, v), min(u, v), sign))
-            residual = {u: int(rng.choice([-1, 1])) for u in red.graph.nodes}
-            full = reconstruct_assignment(red.stack, residual)
+                edges = red.edges()
+                u, v = list(edges)[int(rng.integers(len(edges)))]
+                rec = ContractionRecord(max(u, v), min(u, v), int(rng.choice([-1, 1])))
+                offset += rec.sign * edges[u, v]
+                stack.append(rec)
+                red = contract(red, rec)
+            residual = {u: int(rng.choice([-1, 1])) for u in red.nodes}
+            full = reconstruct_assignment(stack, residual)
             direct = ising_energy(g, full)
-            reduced = red.offset + ising_energy(red.graph, residual)
+            reduced = offset + ising_energy(red, residual)
             assert abs(direct - reduced) < 1e-10
 
 
@@ -326,13 +324,12 @@ def contracted_residuals(inst, walks, rng):
     """The graphs of random elimination walks down an instance, at 8 nodes and below."""
     out = []
     for _ in range(walks):
-        red = ReducedInstance.fresh(inst.graph)
-        while red.graph.edge_count:
-            g = red.graph
+        g = inst.graph
+        while g.edge_count:
             if g.node_count <= 8:
                 out.append(g)
             kept, eliminated = g.edge_list()[int(rng.integers(g.edge_count))]
-            red = contract(red, ContractionRecord(eliminated, kept, int(rng.choice([-1, 1]))))
+            g = contract(g, ContractionRecord(eliminated, kept, int(rng.choice([-1, 1]))))
     return out
 
 

@@ -12,7 +12,6 @@ from rqshot.driver import select_edge
 from rqshot.features import edge_order
 from rqshot.instance import (
     ContractionRecord,
-    ReducedInstance,
     WeightedGraph,
     contract,
     generate_regular_gaussian,
@@ -211,13 +210,13 @@ def bench_walks(rng):
     contraction sequences of the bench instances, down to eight qubits."""
     graphs = []
     for n, d in ((14, 8), (16, 3), (16, 5), (22, 3)):
-        red = ReducedInstance.fresh(generate_regular_gaussian(n, d, seed=847))
-        while red.graph.node_count > 8 and red.graph.edge_count > 0:
-            if red.graph.node_count <= STATEVECTOR_SAMPLING_THRESHOLD:
-                graphs.append(red.graph)
-            edges = red.graph.edge_list()
+        g = generate_regular_gaussian(n, d, seed=847)
+        while g.node_count > 8 and g.edge_count > 0:
+            if g.node_count <= STATEVECTOR_SAMPLING_THRESHOLD:
+                graphs.append(g)
+            edges = g.edge_list()
             u, v = edges[int(rng.integers(len(edges)))]
-            red = contract(red, ContractionRecord(max(u, v), min(u, v), int(rng.choice([-1, 1]))))
+            g = contract(g, ContractionRecord(max(u, v), min(u, v), int(rng.choice([-1, 1]))))
     return graphs
 
 
@@ -529,13 +528,13 @@ def reduced_graphs(count, rng):
     while len(graphs) < count:
         n = int(rng.integers(9, 15))
         d = int(rng.choice([dd for dd in (3, 4, 5, 6) if n * dd % 2 == 0]))
-        red = ReducedInstance.fresh(generate_regular_gaussian(n, d, seed=seed))
+        g = generate_regular_gaussian(n, d, seed=seed)
         seed += 1
-        while red.graph.node_count > 8 and red.graph.edge_count > 0:
-            graphs.append(red.graph)
-            edges = red.graph.edge_list()
+        while g.node_count > 8 and g.edge_count > 0:
+            graphs.append(g)
+            edges = g.edge_list()
             u, v = edges[int(rng.integers(len(edges)))]
-            red = contract(red, ContractionRecord(max(u, v), min(u, v), int(rng.choice([-1, 1]))))
+            g = contract(g, ContractionRecord(max(u, v), min(u, v), int(rng.choice([-1, 1]))))
     return graphs[:count]
 
 
@@ -896,15 +895,16 @@ class TestEstimateCorrelations:
         assert CorrelationSampler(g, a, sv_threshold=5).mode == MODE_BINOMIAL
         assert CorrelationSampler(g, a, sv_threshold=6).mode == MODE_STATEVECTOR
 
-    def test_statevector_falls_back_above_qubit_limit(self, rng):
-        # forced or by a threshold above the limit, a 23-qubit step samples binomially
+    def test_statevector_above_qubit_limit_rejected(self):
+        # forced or by a threshold above the limit, a 23-qubit sampler is refused
         n = STATEVECTOR_MAX_QUBITS + 1
         g = WeightedGraph(range(n), {(q, q + 1): 0.5 for q in range(n - 1)})
         a = Angles(0.5, 0.5)
-        for sampler in (CorrelationSampler(g, a, mode=MODE_STATEVECTOR),
-                        CorrelationSampler(g, a, sv_threshold=n + 1)):
-            assert sampler.mode == MODE_BINOMIAL
-            assert sampler.estimate(sampler.draw(4, rng)).shape == (n - 1,)
+        with pytest.raises(ValueError, match="limited to"):
+            CorrelationSampler(g, a, mode=MODE_STATEVECTOR)
+        with pytest.raises(ValueError, match="limited to"):
+            CorrelationSampler(g, a, sv_threshold=n + 1)
+        assert CorrelationSampler(g, a, sv_threshold=n - 1).mode == MODE_BINOMIAL
 
     def test_pooling_merges_shot_counts(self, rng):
         g = generate_regular_gaussian(6, 3, seed=2)
@@ -968,7 +968,7 @@ class TestShotPool:
         assert abs(2.0 * x / k - 1.0) > abs(2.0 * (k - x) / k - 1.0)
         pool = ShotPool(shots=k, disagree=np.array([x, k - x]))  # x agreements on (1, 2)
         est = sampler.estimate(pool)
-        assert select_edge(g, est, edge_order(est)) == (1, 0, 1)
+        assert select_edge(g, est, edge_order(est)) == ContractionRecord(1, 0, 1)
 
 
 class TestEstimatorStatistics:
