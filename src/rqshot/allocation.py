@@ -9,7 +9,7 @@ policy adds a residual offset in {-3..+2} to the heuristic index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .features import DiscreteState, StepState
@@ -89,6 +89,14 @@ def greedy_action(
     return ACTIONS[best_action([v1[i] + v2[i] for i in range(N_ACTIONS)])]
 
 
+@dataclass
+class QTables:
+    """Twin sparse Q tables keyed by DiscreteState.as_tuple(); a missing state reads as zeros."""
+
+    q1: dict[tuple, list[float]] = field(default_factory=dict)
+    q2: dict[tuple, list[float]] = field(default_factory=dict)
+
+
 class UniformPolicy:
     """Spend the cap regardless of state: the top rung of the ladder."""
 
@@ -104,13 +112,12 @@ class HeuristicPolicy:
 
 
 class RLPolicy:
-    """Greedy residual policy read from a pair of tabular Q functions."""
+    """Greedy residual policy read from trained Q tables."""
 
-    def __init__(self, q1: Mapping[tuple, Sequence[float]], q2: Mapping[tuple, Sequence[float]]):
-        self.q1 = q1
-        self.q2 = q2
+    def __init__(self, tables: QTables):
+        self.tables = tables
 
     def decide(self, state, disc, cap, k_probe, rng=None) -> AllocationDecision:
-        residual = greedy_action(self.q1, self.q2, disc)
+        residual = greedy_action(self.tables.q1, self.tables.q2, disc)
         return compose(heuristic_index(state), residual, cap, k_probe)
 

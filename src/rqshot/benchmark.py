@@ -161,7 +161,7 @@ def hard_screen(
     inst: Instance,
     cfg: DriverConfig,
     protocol: ProtocolConfig,
-    master_seed: int = 0,
+    master_seed: int,
 ) -> tuple[str, float]:
     """Classify an instance by its mean uniform approximation ratio.
 
@@ -188,7 +188,7 @@ def calibrate_cap(
     inst: Instance,
     cfg: DriverConfig,
     protocol: ProtocolConfig,
-    master_seed: int = 0,
+    master_seed: int,
     cal_tag: str | int = "calibrate",
 ) -> CalibrationResult:
     """Two-stage search for the smallest cap where uniform meets the target.
@@ -247,7 +247,7 @@ def evaluate_methods(
     cap: int,
     cfg: DriverConfig,
     protocol: ProtocolConfig,
-    master_seed: int = 0,
+    master_seed: int,
 ) -> tuple[list[EvaluationRecord], dict[str, list[EpisodeResult]]]:
     """Evaluate named policies on one instance under its shared cap.
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark as bm
+from .allocation import RLPolicy
 from .config import RunConfig, load_config
 from .driver import check_episode
 from .instance import (
@@ -128,12 +129,17 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _resolve_cap(arg: str, inst: Instance, caps_dir: str | None) -> int:
-    """A cap from --cap (a number or a calibration file) or from --caps-dir."""
+def _resolve_cap(arg: str | None, inst: Instance, caps_dir: str | None) -> int:
+    """A cap from --cap (a number or a calibration file) or from --caps-dir, not both."""
+    if arg is not None and caps_dir is not None:
+        raise ValueError("--cap and --caps-dir both give the cap; pass one of them")
     if arg is not None:
         path = Path(arg)
         if not path.exists():
-            return int(arg)
+            try:
+                return int(arg)
+            except ValueError:
+                raise FileNotFoundError(f"--cap {arg}: no such calibration file") from None
     elif caps_dir is not None:
         path = Path(caps_dir) / f"{inst.instance_id}.cap.json"
         if not path.exists():
@@ -170,13 +176,15 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
+    names = [name.strip() for name in args.policies.split(",")]
+    if args.checkpoint and "rl" not in names:
+        raise ValueError("--checkpoint is read by the rl policy only, and --policies does not name it")
     policies: dict[str, object] = {}
-    for name in args.policies.split(","):
-        name = name.strip()
+    for name in names:
         if name == "rl":
             if not args.checkpoint:
                 raise FileNotFoundError("rl policy requested but no --checkpoint given")
-            policies[name] = PolicyCheckpoint.load(args.checkpoint, cfg.driver).policy()
+            policies[name] = RLPolicy(PolicyCheckpoint.load(args.checkpoint, cfg.driver).qtables)
         else:
             policies[name] = bm.make_policy(name)
 

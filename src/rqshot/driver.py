@@ -224,7 +224,7 @@ def select_edge(g: WeightedGraph, est: np.ndarray, order: np.ndarray) -> Contrac
     return ContractionRecord(eliminated=eliminated, kept=kept, sign=-1 if est[i] < 0 else 1)
 
 
-def success(e_out: float, e_opt: float, rho_star: float = 0.99) -> int:
+def success(e_out: float, e_opt: float, rho_star: float) -> int:
     """Binary success: approximation ratio at or above rho_star."""
     if e_opt <= 0:
         raise ValueError("success ratio undefined for non-positive optimum")
@@ -278,7 +278,7 @@ def run_episode(
             probe_pool = sampler.draw(k_probe, rng)
             probe_est = sampler.estimate(probe_pool)
 
-        state = extract_state(g, probe_est, k_top=cfg.k_top, zgap_variant=cfg.zgap_variant)
+        state = extract_state(g, probe_est, cfg.k_top, cfg.zgap_variant)
         disc = discretize(state, n, cfg.n_c, cfg.bins)
         decision = policy.decide(state, disc, cap, k_probe, rng)
         k_t = decision.shots

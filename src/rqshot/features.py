@@ -103,7 +103,7 @@ def edge_order(est: np.ndarray) -> np.ndarray:
     return np.argsort(-np.abs(est), kind="stable")
 
 
-def zgap(est: np.ndarray, order: np.ndarray, variant: str = ZGAP_LITERAL) -> float:
+def zgap(est: np.ndarray, order: np.ndarray, variant: str) -> float:
     """Ratio of the two largest |correlations|, read off the estimate's edge_order.
 
     With fewer than two edges there is nothing to confuse, so the sentinel
@@ -121,7 +121,7 @@ def zgap(est: np.ndarray, order: np.ndarray, variant: str = ZGAP_LITERAL) -> flo
     return max(1.0, m1 / (m2 + ZGAP_EPS))
 
 
-def conflict_ratio(g: WeightedGraph, order: np.ndarray, k_top: int = 3) -> float:
+def conflict_ratio(g: WeightedGraph, order: np.ndarray, k_top: int) -> float:
     """1 - (unique endpoints of the top-k edges) / (2k), k = min(k_top, |E|)."""
     if not len(order):
         raise ValueError("conflict ratio needs at least one edge")
@@ -137,25 +137,19 @@ def edge_distance(g: WeightedGraph, order: np.ndarray) -> int:
     return hop_distance(g, ends[order[0]].tolist(), ends[order[1]].tolist())
 
 
-def extract_state(
-    g: WeightedGraph,
-    est: np.ndarray,
-    k_top: int = 3,
-    zgap_variant: str = ZGAP_LITERAL,
-) -> StepState:
+def extract_state(g: WeightedGraph, est: np.ndarray, k_top: int, zgap_variant: str) -> StepState:
     """Assemble the full step state from a probe estimate in edge_list() order."""
     order = edge_order(est)
     return StepState(
         m=g.node_count,
-        zeta=zgap(est, order, variant=zgap_variant),
-        kappa=conflict_ratio(g, order, k_top=k_top),
+        zeta=zgap(est, order, zgap_variant),
+        kappa=conflict_ratio(g, order, k_top),
         dist=edge_distance(g, order),
     )
 
 
-def discretize(s: StepState, n: int, n_c: int, bins: BinBoundaries | None = None) -> DiscreteState:
+def discretize(s: StepState, n: int, n_c: int, bins: BinBoundaries) -> DiscreteState:
     """Bin a raw state; m runs over n - n_c levels from n_c+1 to n."""
-    bins = bins or BinBoundaries()
     m_bin = s.m - n_c - 1
     if not 0 <= m_bin <= n - n_c - 1:
         raise ValueError(f"m={s.m} outside [{n_c + 1}, {n}]")

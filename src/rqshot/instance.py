@@ -448,22 +448,27 @@ class Instance:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def generate_instance(n: int, d: int, seed: int, compute_opt: bool = True) -> Instance:
-    """Generate an instance, reseeding until the brute-force optimum is positive.
+def _positive_optimum(make_graph, seed: int) -> tuple[WeightedGraph, int, float]:
+    """The first make_graph(s) with a positive brute-force optimum, its seed s and that optimum.
 
-    A non-positive optimum would make the success ratio ill-defined; with
-    continuous weights this occurs with probability zero, but the guard is
-    kept explicit.
+    s runs over seed, seed + _RESEED_STRIDE, ...  A non-positive optimum
+    would make the success ratio ill-defined; with continuous weights this
+    occurs with probability zero, but the guard is kept explicit.
     """
-    attempt_seed = seed
     while True:
-        graph = generate_regular_gaussian(n, d, attempt_seed)
-        if not compute_opt:
-            return Instance(graph=graph, n=n, d=d, seed=attempt_seed)
+        graph = make_graph(seed)
         e_opt, _ = brute_force_optimum(graph)
         if e_opt > 0:
-            return Instance(graph=graph, n=n, d=d, seed=attempt_seed, e_opt=e_opt)
-        attempt_seed += _RESEED_STRIDE
+            return graph, seed, e_opt
+        seed += _RESEED_STRIDE
+
+
+def generate_instance(n: int, d: int, seed: int, compute_opt: bool = True) -> Instance:
+    """Generate an instance; with compute_opt, reseed until its optimum is positive."""
+    if not compute_opt:
+        return Instance(graph=generate_regular_gaussian(n, d, seed), n=n, d=d, seed=seed)
+    graph, seed, e_opt = _positive_optimum(lambda s: generate_regular_gaussian(n, d, s), seed)
+    return Instance(graph=graph, n=n, d=d, seed=seed, e_opt=e_opt)
 
 
 def reweighted_instance(base: Instance, seed: int) -> Instance:
@@ -474,15 +479,11 @@ def reweighted_instance(base: Instance, seed: int) -> Instance:
     variant's instance_id never collides with a fresh instance's.
     """
     topology = base.graph.edge_list()
-    attempt_seed = _REWEIGHT_SEED_BASE + seed
-    while True:
-        rng = np.random.default_rng(attempt_seed)
-        weights = rng.standard_normal(len(topology))
-        graph = WeightedGraph(base.graph.nodes, {e: w for e, w in zip(topology, weights)})
-        e_opt, _ = brute_force_optimum(graph)
-        if e_opt > 0:
-            return Instance(
-                graph=graph, n=base.n, d=base.d, seed=attempt_seed,
-                weight_dist=base.weight_dist, e_opt=e_opt, category="reweighted",
-            )
-        attempt_seed += _RESEED_STRIDE
+
+    def reweight(s: int) -> WeightedGraph:
+        weights = np.random.default_rng(s).standard_normal(len(topology))
+        return WeightedGraph(base.graph.nodes, dict(zip(topology, weights)))
+
+    graph, seed, e_opt = _positive_optimum(reweight, _REWEIGHT_SEED_BASE + seed)
+    return Instance(graph=graph, n=base.n, d=base.d, seed=seed, weight_dist=base.weight_dist,
+                    e_opt=e_opt, category="reweighted")

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import (ACTIONS, N_ACTIONS, RLPolicy, best_action, compose, greedy_action,
-                         heuristic_index)
+from .allocation import (ACTIONS, N_ACTIONS, QTables, RLPolicy, best_action, compose,
+                         greedy_action, heuristic_index)
 from .benchmark import TrialSummary
 from .driver import DriverConfig, StepCache, check_episode, run_episode
 from .features import BinBoundaries, DiscreteState
@@ -34,24 +34,6 @@ CHECKPOINT_FORMAT_VERSION = 3
 
 class CheckpointError(ValueError):
     """Raised when a checkpoint cannot be used under the current configuration."""
-
-
-@dataclass
-class QTables:
-    """Twin sparse Q tables; missing states read as zeros."""
-
-    q1: dict[tuple, list[float]] = field(default_factory=dict)
-    q2: dict[tuple, list[float]] = field(default_factory=dict)
-
-    def row(self, which: int, s: tuple) -> list[float]:
-        return (self.q1 if which == 1 else self.q2).setdefault(s, [0.0] * N_ACTIONS)
-
-    def lookup(self, which: int, s: tuple) -> list[float]:
-        table = self.q1 if which == 1 else self.q2
-        return table.get(s, [0.0] * N_ACTIONS)
-
-    def copy(self) -> "QTables":
-        return QTables(q1=copy.deepcopy(self.q1), q2=copy.deepcopy(self.q2))
 
 
 def select_action(
@@ -80,30 +62,28 @@ def double_q_update(
 
     The learning table supplies the argmax at the next state, the other
     table supplies the bootstrap value, which is what breaks the
-    maximization bias of the single-estimator update.
+    maximization bias of the single-estimator update.  A state the learning
+    table lacks gets a fresh row of zeros there.
     """
-    i = 1 + int(rng.integers(2))
-    j = 2 if i == 1 else 1
+    learn, boot = (tables.q1, tables.q2) if rng.integers(2) == 0 else (tables.q2, tables.q1)
     a_idx = ACTIONS.index(action)
-    key = s.as_tuple()
-    if terminal:
-        target = reward
-    else:
-        next_key = s_next.as_tuple()
-        best = best_action(tables.lookup(i, next_key))
-        target = reward + discount * tables.lookup(j, next_key)[best]
-    row = tables.row(i, key)
+    target = reward
+    if not terminal:
+        next_key, zeros = s_next.as_tuple(), (0.0,) * N_ACTIONS
+        best = best_action(learn.get(next_key, zeros))
+        target += discount * boot.get(next_key, zeros)[best]
+    row = learn.setdefault(s.as_tuple(), [0.0] * N_ACTIONS)
     row[a_idx] = (1 - alpha) * row[a_idx] + alpha * target
 
 
-def step_reward(k_t: int, cap: int, eta: float = 1.0) -> float:
+def step_reward(k_t: int, cap: int, eta: float) -> float:
     """Per-step cost: the fraction of the cap spent, negated and scaled."""
     if not 1 <= k_t <= cap:
         raise ValueError(f"need 1 <= k_t <= cap, got k_t={k_t}, cap={cap}")
     return -eta * k_t / cap
 
 
-def terminal_penalty(sigma: int, lam: float, extra_fail_penalty: float = 0.0) -> float:
+def terminal_penalty(sigma: int, lam: float, extra_fail_penalty: float) -> float:
     """Failure penalty added to the final step's reward; zero on success."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
@@ -166,12 +146,10 @@ class LagrangianController:
         self.config = config
         self.lam = config.lambda0
         self.p_hat = config.p_star
-        self.episode_count = 0
-        self.trace: list[float] = []
+        self.trace: list[float] = []  # lambda after each episode
 
     def update(self, sigma: int) -> None:
-        self.episode_count += 1
-        if self.episode_count > self.config.warmup:
+        if len(self.trace) >= self.config.warmup:  # this episode is past the warm-up
             c = self.config
             self.p_hat = (1 - c.ema_beta) * self.p_hat + c.ema_beta * sigma
             self.lam = min(max(self.lam + c.mu_lambda * (c.p_star - self.p_hat), 0.0), c.lambda_max)
@@ -195,9 +173,6 @@ class PolicyCheckpoint:
     validation_mean_shots: float | None = None
     lambda_trace: list[float] = field(default_factory=list)
     validation_history: list[dict] = field(default_factory=list)
-
-    def policy(self) -> RLPolicy:
-        return RLPolicy(self.qtables.q1, self.qtables.q2)
 
     def to_dict(self) -> dict:
         """The checkpoint file: format_version, then the fields by name, Q-table keys encoded."""
@@ -270,10 +245,9 @@ class _TrainingPolicy:
     trainer can add the terminal penalty once the outcome is known.
     """
 
-    def __init__(self, tables: QTables, config: TrainConfig, cap: int):
+    def __init__(self, tables: QTables, config: TrainConfig):
         self.tables = tables
         self.config = config
-        self.cap = cap
         self.epsilon = config.eps_start
         self.pending: tuple[DiscreteState, int, float] | None = None
 
@@ -309,7 +283,7 @@ def _validate_greedy(
     episode: int,
     cache: StepCache,
 ) -> dict:
-    policy = RLPolicy(tables.q1, tables.q2)
+    policy = RLPolicy(tables)
     s = TrialSummary.from_results([
         run_episode(inst, policy, cap, driver_cfg,
                     make_rng(master_seed, "train-val", inst.instance_id, episode, t), cache=cache)
@@ -322,8 +296,8 @@ def train(
     inst: Instance,
     cap: int,
     config: TrainConfig,
-    driver_cfg: DriverConfig | None = None,
-    master_seed: int = 0,
+    driver_cfg: DriverConfig,
+    master_seed: int,
 ) -> PolicyCheckpoint:
     """Train a residual policy on one instance at a calibrated cap.
 
@@ -334,12 +308,11 @@ def train(
     returned is the validation winner: highest success rate, ties broken by
     lower median then lower mean total shots.
     """
-    driver_cfg = driver_cfg or DriverConfig()
     check_episode(inst, cap, driver_cfg)
 
     tables = QTables()
     controller = LagrangianController(config)
-    trainer = _TrainingPolicy(tables, config, cap)
+    trainer = _TrainingPolicy(tables, config)
     cache = StepCache()
     rng = make_rng(master_seed, "train", inst.instance_id)
 
@@ -360,7 +333,7 @@ def train(
             # maximize SR, then minimize median and mean shots
             rank = (-record["sr"], record["median_shots"], record["mean_shots"])
             if best is None or rank < best[0]:
-                best = (rank, tables.copy(), record)
+                best = (rank, copy.deepcopy(tables), record)
 
     final_tables, final_record = (tables, {}) if best is None else best[1:]
 

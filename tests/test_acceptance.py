@@ -289,7 +289,7 @@ def test_c06_lagrangian_mechanics():
 
 
 def test_c07_heuristic_equivalence():
-    rl = RLPolicy({}, {})
+    rl = RLPolicy(QTables())
     heuristic = HeuristicPolicy()
     bins = BinBoundaries()
     n, n_c, cap, k_probe = 14, 8, 1000, 16
@@ -367,7 +367,7 @@ def test_c09_heuristic_desk_scale(dcfg, hard_pool):
 
 def test_c10_rl_desk_scale(dcfg, trained):
     inst, cap, ckpt = trained
-    policies = {"heuristic": HeuristicPolicy(), "rl": ckpt.policy()}
+    policies = {"heuristic": HeuristicPolicy(), "rl": RLPolicy(ckpt.qtables)}
     records, _ = bm.evaluate_methods(inst, policies, cap, dcfg, PROTOCOL,
                                      master_seed=EVAL_MASTER_SEED)
     rl = next(r for r in records if r.policy == "rl")

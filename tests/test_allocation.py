@@ -12,6 +12,7 @@ from rqshot.allocation import (
     N_ACTIONS,
     AllocationDecision,
     HeuristicPolicy,
+    QTables,
     RLPolicy,
     UniformPolicy,
     best_action,
@@ -175,7 +176,7 @@ class TestPolicies:
     def test_fresh_rl_equals_heuristic_exhaustive(self):
         # acceptance criterion 7: sweep one raw state per discrete cell
         bins = BinBoundaries()
-        rl = RLPolicy({}, {})
+        rl = RLPolicy(QTables())
         heuristic = HeuristicPolicy()
         n, n_c, cap, k_probe = 14, 8, 1000, 16
         zeta_reps = [0.5, 1.1, 1.4, 1.8, 2.5, 3.5, 4.5]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rqshot import benchmark as bm
-from rqshot.allocation import HeuristicPolicy, RLPolicy, UniformPolicy
+from rqshot.allocation import HeuristicPolicy, QTables, RLPolicy, UniformPolicy
 from rqshot.cli import _map_instances
 from rqshot.driver import DriverConfig, EpisodeResult
 from rqshot.instance import generate_instance
@@ -104,7 +104,7 @@ class TestCalibration:
 
         monkeypatch.setattr(bm, "run_trials", fake_run_trials)
         protocol = bm.ProtocolConfig(cal_trials=7, cap_grid=(64, 128))
-        cal = bm.calibrate_cap(generate_instance(10, 4, seed=3), DriverConfig(), protocol)
+        cal = bm.calibrate_cap(generate_instance(10, 4, seed=3), DriverConfig(), protocol, master_seed=0)
         assert (cal.cap, cal.budget_limited, cal.sr_at_cap) == (128, True, 1 / 7)
         assert [p["cap"] for p in cal.probes] == [64, 128]
 
@@ -116,7 +116,7 @@ class TestCalibration:
 
         monkeypatch.setattr(bm, "run_trials", fake_run_trials)
         protocol = bm.ProtocolConfig(cal_trials=5, cap_grid=(64, 128, 256, 512), cal_resolution=16)
-        cal = bm.calibrate_cap(generate_instance(10, 4, seed=3), DriverConfig(), protocol)
+        cal = bm.calibrate_cap(generate_instance(10, 4, seed=3), DriverConfig(), protocol, master_seed=0)
         assert (cal.cap, cal.budget_limited, cal.sr_at_cap) == (304, False, 1.0)
         assert [p["cap"] for p in cal.probes] == [64, 128, 256, 512, 384, 320, 288, 304]
 
@@ -177,7 +177,7 @@ class TestEvaluateMethods:
         cells = itertools.product(range(6), range(7), range(5), range(5))
         q1 = {c: [float(a == sum(c) % 6) for a in range(6)] for c in cells}
         insts = [generate_instance(10, 4, seed=s) for s in (3, 4)]
-        policies = {"uniform": UniformPolicy(), "heuristic": HeuristicPolicy(), "rl": RLPolicy(q1, {})}
+        policies = {"uniform": UniformPolicy(), "heuristic": HeuristicPolicy(), "rl": RLPolicy(QTables(q1=q1))}
         fn = partial(bm.evaluate_methods, cfg=DriverConfig(),
                      protocol=bm.ProtocolConfig(eval_trials=8), master_seed=9)
         serial, parallel = (_map_instances(jobs, fn, insts, [policies] * 2, [256] * 2)

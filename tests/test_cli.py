@@ -405,13 +405,50 @@ class TestKnobsTakeEffect:
         write(cap_file)
         out = tmp_path / "out"
         source = str(cap_file if flag == "--cap" else cap_file.parent)
-        argv = {
+        assert run(*self._capped(command, inst_path), flag, source, "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cap_file) in err and "Traceback" not in err
+        assert not out.exists()
+
+    @staticmethod
+    def _capped(command: str, inst_path: Path) -> tuple:
+        """The argv of a short train or a uniform eval on inst_path, up to its cap flags."""
+        return {
             "train": ("train", "--instance", str(inst_path), "--episodes", "2"),
             "eval": ("eval", "--instances", str(inst_path), "--policies", "uniform"),
         }[command]
-        assert run(*argv, flag, source, "--out", str(out)) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_cap_naming_no_file_is_missing_artifact(self, pipeline, tmp_path, capsys, command):
+        # neither a file nor an integer: a mistyped calibration path, not a malformed number
+        _, inst_path, _ = pipeline
+        missing, out = tmp_path / "caps" / "missing.cap.json", tmp_path / "out"
+        argv = (*self._capped(command, inst_path), "--cap", str(missing), "--out", str(out))
+        assert run(*argv) == EXIT_MISSING
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(cap_file) in err and "Traceback" not in err
+        assert err.startswith("error: ") and str(missing) in err and "int()" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_cap_and_caps_dir_together_is_usage_error(self, pipeline, tmp_path, capsys, command):
+        _, inst_path, cap_path = pipeline
+        out = tmp_path / "out"
+        argv = (*self._capped(command, inst_path), "--cap", "64", "--caps-dir", str(cap_path.parent),
+                "--out", str(out))
+        assert run(*argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--cap and --caps-dir" in err
+        assert not out.exists()
+
+    def test_checkpoint_without_rl_policy_is_usage_error(self, pipeline, tmp_path, capsys):
+        # only the rl policy reads a checkpoint, so one given without it would be ignored
+        _, inst_path, cap_path = pipeline
+        out = tmp_path / "out"
+        assert run("eval", "--instances", str(inst_path), "--policies", "uniform,heuristic",
+                   "--checkpoint", str(tmp_path / "policy.json"), "--cap", str(cap_path),
+                   "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--checkpoint" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["screen", "calibrate", "train", "eval"])

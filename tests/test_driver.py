@@ -54,17 +54,17 @@ class TestSelectEdge:
 
 class TestSuccess:
     def test_exact_optimum(self):
-        assert success(10.0, 10.0) == 1
+        assert success(10.0, 10.0, 0.99) == 1
 
     def test_just_below_threshold(self):
-        assert success(0.989, 1.0) == 0
+        assert success(0.989, 1.0, 0.99) == 0
 
     def test_threshold_inclusive(self):
-        assert success(0.99, 1.0) == 1
+        assert success(0.99, 1.0, 0.99) == 1
 
     def test_invalid_optimum(self):
         with pytest.raises(ValueError):
-            success(1.0, 0.0)
+            success(1.0, 0.0, 0.99)
 
 
 class TestRunEpisode:

@@ -33,14 +33,14 @@ def ranked_edges(g, est) -> list[tuple[int, int]]:
     return sorted(values, key=lambda e: (-abs(values[e]), e))
 
 
-def zgap_of(values: dict, **kwargs) -> float:
+def zgap_of(values: dict, variant: str = ZGAP_LITERAL) -> float:
     _, est = edge_estimate(values)
-    return zgap(est, edge_order(est), **kwargs)
+    return zgap(est, edge_order(est), variant)
 
 
 def conflict_ratio_of(values: dict) -> float:
     g, est = edge_estimate(values)
-    return conflict_ratio(g, edge_order(est))
+    return conflict_ratio(g, edge_order(est), 3)
 
 
 def edge_distance_of(g, values: dict) -> int:
@@ -152,19 +152,19 @@ class TestEdgeDistance:
 class TestDiscretize:
     def test_zeta_top_bin(self):
         s = StepState(m=10, zeta=4.5, kappa=0.0, dist=0)
-        assert discretize(s, n=14, n_c=8).zeta_bin == 6
+        assert discretize(s, n=14, n_c=8, bins=BinBoundaries()).zeta_bin == 6
 
     def test_kappa_bottom_bin(self):
         s = StepState(m=10, zeta=1.0, kappa=0.05, dist=0)
-        assert discretize(s, n=14, n_c=8).kappa_bin == 0
+        assert discretize(s, n=14, n_c=8, bins=BinBoundaries()).kappa_bin == 0
 
     def test_dist_zero_bin(self):
         s = StepState(m=10, zeta=1.0, kappa=0.0, dist=0)
-        assert discretize(s, n=14, n_c=8).dist_bin == 0
+        assert discretize(s, n=14, n_c=8, bins=BinBoundaries()).dist_bin == 0
 
     def test_sentinels_map_to_top_bins(self):
         s = StepState(m=10, zeta=ZGAP_SENTINEL, kappa=0.0, dist=DIST_SENTINEL)
-        d = discretize(s, n=14, n_c=8)
+        d = discretize(s, n=14, n_c=8, bins=BinBoundaries())
         assert d.zeta_bin == 6
         assert d.dist_bin == 4
 
@@ -174,9 +174,9 @@ class TestDiscretize:
             d = discretize(StepState(m=m, zeta=1.0, kappa=0.0, dist=0), n=14, n_c=8, bins=bins)
             assert d.m_bin == m - 9
         with pytest.raises(ValueError):
-            discretize(StepState(m=8, zeta=1.0, kappa=0.0, dist=0), n=14, n_c=8)
+            discretize(StepState(m=8, zeta=1.0, kappa=0.0, dist=0), n=14, n_c=8, bins=bins)
         with pytest.raises(ValueError):
-            discretize(StepState(m=15, zeta=1.0, kappa=0.0, dist=0), n=14, n_c=8)
+            discretize(StepState(m=15, zeta=1.0, kappa=0.0, dist=0), n=14, n_c=8, bins=bins)
 
     def test_bin_cardinalities(self):
         # 7 zeta, 5 kappa and 5 distance bins: values past the last edge land in the top bins
@@ -199,7 +199,7 @@ class TestDiscretize:
 class TestExtractState:
     def test_assembles_all_features(self):
         g = make_graph({(0, 1): 1.0, (1, 2): 0.5, (2, 3): 0.2})
-        s = extract_state(g, np.array([0.8, 0.4, 0.1]))
+        s = extract_state(g, np.array([0.8, 0.4, 0.1]), 3, ZGAP_LITERAL)
         assert s.m == 4
         assert s.zeta == pytest.approx(2.0)
         assert s.kappa == pytest.approx(1 - 4 / 6)

@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import asdict, replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rqshot.allocation import ACTIONS, HeuristicPolicy
+from rqshot.allocation import ACTIONS, HeuristicPolicy, RLPolicy
 from rqshot.driver import DriverConfig
 from rqshot.features import BinBoundaries, DiscreteState, StepState, discretize
 from rqshot.instance import generate_instance
@@ -38,8 +39,7 @@ class TestSelectAction:
         assert select_action(QTables(), S0, 0.0, np.random.default_rng(0)) == 0
 
     def test_greedy_peaked(self):
-        t = QTables()
-        t.row(1, S0.as_tuple())[5] = 3.0
+        t = QTables(q1={S0.as_tuple(): [0.0, 0.0, 0.0, 0.0, 0.0, 3.0]})
         assert select_action(t, S0, 0.0, np.random.default_rng(0)) == 2
 
     def test_epsilon_validated(self):
@@ -60,6 +60,35 @@ class TestDoubleQUpdate:
         double_q_update(t, S0, 1, 5.0, S1, False, 0.0, 0.97, np.random.default_rng(0))
         assert all(v == 0.0 for v in t.q1.get(S0.as_tuple(), [0.0] * 6))
         assert all(v == 0.0 for v in t.q2.get(S0.as_tuple(), [0.0] * 6))
+
+    def test_unseen_states_get_fresh_rows_in_the_learning_table_only(self):
+        # a terminal update draws only the coin, 0 for q1 to learn and 1 for q2
+        t = QTables()
+        rng, coins = np.random.default_rng(3), np.random.default_rng(3)
+        states = [DiscreteState(m, 1, 2, 3) for m in range(8)]
+        for i, s in enumerate(states):
+            learn, other = (t.q1, t.q2) if coins.integers(2) == 0 else (t.q2, t.q1)
+            double_q_update(t, s, ACTIONS[i % 6], -(i + 1.0), None, True, 1.0, 0.97, rng)
+            assert s.as_tuple() in learn and s.as_tuple() not in other
+        assert t.q1 and t.q2  # both tables learned
+        # each row holds its own write alone, so no two rows share a list
+        for i, s in enumerate(states):
+            expected = [0.0] * 6
+            expected[i % 6] = -(i + 1.0)
+            assert (t.q1.get(s.as_tuple()) or t.q2[s.as_tuple()]) == expected
+
+    def test_update_writes_one_row_of_the_learning_table(self):
+        t = QTables(q1={S1.as_tuple(): [0.5] * 6}, q2={S1.as_tuple(): [0.25] * 6})
+        before = copy.deepcopy(t)
+        double_q_update(t, S0, 2, -1.0, S1, False, 0.5, 0.9, np.random.default_rng(0))
+        q1_learned = S0.as_tuple() in t.q1
+        assert q1_learned != (S0.as_tuple() in t.q2)
+        learn, other = (t.q1, t.q2) if q1_learned else (t.q2, t.q1)
+        assert other == (before.q1 if not q1_learned else before.q2)
+        assert learn[S1.as_tuple()] == [0.5 if q1_learned else 0.25] * 6
+        # bootstrap: the other table's value at the learning table's argmax, action 0 on a tie
+        bootstrap = 0.25 if q1_learned else 0.5
+        assert learn[S0.as_tuple()] == [0.0] * 5 + [0.5 * (-1.0 + 0.9 * bootstrap)]
 
     def test_toy_mdp_matches_value_iteration(self):
         # 2 states, 2 actions: the action selects the next state
@@ -129,14 +158,14 @@ class TestRewards:
 
     def test_step_reward_bounds(self):
         with pytest.raises(ValueError):
-            step_reward(0, 100)
+            step_reward(0, 100, 1.0)
         with pytest.raises(ValueError):
-            step_reward(101, 100)
+            step_reward(101, 100, 1.0)
 
     def test_terminal_penalty(self):
-        assert terminal_penalty(1, 50.0) == 0.0
-        assert terminal_penalty(0, 2.0) == -2.0
-        assert terminal_penalty(0, 0.0) == 0.0
+        assert terminal_penalty(1, 50.0, 0.0) == 0.0
+        assert terminal_penalty(0, 2.0, 0.0) == -2.0
+        assert terminal_penalty(0, 0.0, 0.0) == 0.0
 
     def test_extra_fail_penalty_only_on_failure(self):
         assert terminal_penalty(0, 2.0, extra_fail_penalty=5.0) == -7.0
@@ -208,9 +237,8 @@ class TestTrainConfig:
 
 class TestCheckpoint:
     def _checkpoint(self):
-        t = QTables()
-        t.row(1, (0, 1, 2, 3))[2] = -0.75
-        t.row(2, (1, 6, 0, 4))[0] = 0.5
+        t = QTables(q1={(0, 1, 2, 3): [0.0, 0.0, -0.75, 0.0, 0.0, 0.0]},
+                    q2={(1, 6, 0, 4): [0.5, 0.0, 0.0, 0.0, 0.0, 0.0]})
         return PolicyCheckpoint(
             qtables=t, config=TrainConfig(), bin_boundaries=BinBoundaries(), n=14, n_c=8,
             zgap_variant="literal", k_top=3, instance_id="n14d08s1", validation_sr=0.95,
@@ -224,7 +252,7 @@ class TestCheckpoint:
         loaded = PolicyCheckpoint.load(path)
         assert loaded.qtables.q1 == ckpt.qtables.q1
         assert loaded.qtables.q2 == ckpt.qtables.q2
-        p0, p1 = ckpt.policy(), loaded.policy()
+        p0, p1 = RLPolicy(ckpt.qtables), RLPolicy(loaded.qtables)
         for m_bin in range(6):
             for z in range(7):
                 for kp in range(5):
@@ -274,18 +302,18 @@ def tiny_instance():
 class TestTrain:
     def test_zero_episode_checkpoint_is_heuristic(self, tiny_instance):
         cfg = TrainConfig(episodes=0)
-        ckpt = train(tiny_instance, cap=128, config=cfg, master_seed=1)
-        rl = ckpt.policy()
+        ckpt = train(tiny_instance, 128, cfg, DriverConfig(), master_seed=1)
+        rl = RLPolicy(ckpt.qtables)
         heuristic = HeuristicPolicy()
         for zeta, kappa, dist in [(4.5, 0.05, 3), (2.5, 0.15, 2), (1.5, 0.25, 1), (0.5, 0.5, 0)]:
             s = StepState(m=9, zeta=zeta, kappa=kappa, dist=dist)
-            disc = discretize(s, 10, 8)
+            disc = discretize(s, 10, 8, BinBoundaries())
             assert rl.decide(s, disc, 128, 16) == heuristic.decide(s, disc, 128, 16)
 
     def test_training_deterministic_given_seed(self, tiny_instance):
         cfg = TrainConfig(episodes=12, validation_every=6, validation_trials=3)
-        a = train(tiny_instance, cap=128, config=cfg, master_seed=9)
-        b = train(tiny_instance, cap=128, config=cfg, master_seed=9)
+        a = train(tiny_instance, 128, cfg, DriverConfig(), master_seed=9)
+        b = train(tiny_instance, 128, cfg, DriverConfig(), master_seed=9)
         assert a.qtables.q1 == b.qtables.q1
         assert a.qtables.q2 == b.qtables.q2
         assert a.lambda_trace == b.lambda_trace
@@ -293,7 +321,7 @@ class TestTrain:
 
     def test_lambda_trace_length_and_bounds(self, tiny_instance):
         cfg = TrainConfig(episodes=30, validation_every=15, validation_trials=2)
-        ckpt = train(tiny_instance, cap=128, config=cfg, master_seed=2)
+        ckpt = train(tiny_instance, 128, cfg, DriverConfig(), master_seed=2)
         assert len(ckpt.lambda_trace) == 30
         assert all(0.0 <= lam <= cfg.lambda_max for lam in ckpt.lambda_trace)
         # warm-up freeze: whole run is inside warmup here
@@ -301,10 +329,10 @@ class TestTrain:
 
     def test_checkpoint_selection_prefers_high_sr(self, tiny_instance):
         cfg = TrainConfig(episodes=20, validation_every=10, validation_trials=4)
-        ckpt = train(tiny_instance, cap=128, config=cfg, master_seed=4)
+        ckpt = train(tiny_instance, 128, cfg, DriverConfig(), master_seed=4)
         assert ckpt.validation_sr is not None
         assert ckpt.validation_sr == max(v["sr"] for v in ckpt.validation_history)
 
     def test_cap_below_probe_rejected(self, tiny_instance):
         with pytest.raises(ValueError, match="probe"):
-            train(tiny_instance, cap=8, config=TrainConfig(episodes=1), master_seed=0)
+            train(tiny_instance, 8, TrainConfig(episodes=1), DriverConfig(), master_seed=0)
