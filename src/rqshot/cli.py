@@ -177,6 +177,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     names = [name.strip() for name in args.policies.split(",")]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:  # policies are keyed by name, so a repeat would run once
+        raise ValueError(f"--policies names {', '.join(repeated)} more than once")
     if args.checkpoint and "rl" not in names:
         raise ValueError("--checkpoint is read by the rl policy only, and --policies does not name it")
     policies: dict[str, object] = {}

@@ -10,8 +10,11 @@ full assignment reconstructed.
 
 Trials on one instance revisit the same reduced graphs, so an episode walks
 down a StepCache's nodes, one per reduced graph, and reuses what they hold.
-It reaches them only through ``node``, ``descend``, ``sampler`` and
-``residual``, and reads no node field but the graph.
+It reaches them only through ``node``, ``sampler``, ``eliminate`` and
+``residual``, and reads two node fields: the graph, and the ``features``
+memo it hands to extract_state.  On a node that earlier steps have
+visited, a step therefore does only shot work: the draws, the estimates,
+the edge orders and the policy's decision.
 """
 
 from __future__ import annotations
@@ -100,26 +103,43 @@ class EpisodePolicy(Protocol):
 
 @dataclass(eq=False, slots=True)
 class _Node:
-    """A reduced graph and what its StepCache made for it; children by elimination."""
+    """A reduced graph and what its StepCache made for it.
+
+    Beside the angles, the exact values and the residual, each made once, a
+    node keeps what its steps read off the graph alone:
+      features      (kappa, dist) under (k_top, the leading edge positions),
+                    filled by extract_state
+      eliminations  (select_edge's record, the child it leads to) under
+                    (the leading edge position, the sign of its estimate)
+      sampler       the last step's CorrelationSampler under the
+                    (sampling_mode, sv_threshold) it was built for
+      children      the child of each contraction, as descend found it
+    """
 
     graph: WeightedGraph
     angles: Angles | None = None
     exact: np.ndarray | None = None
     residual: dict[int, int] | None = None
+    sampler: tuple[tuple[str, int], CorrelationSampler] | None = None
+    features: dict[tuple[int, bytes], tuple[float, int]] = field(default_factory=dict)
+    eliminations: dict[tuple[int, int], tuple[ContractionRecord, _Node]] = field(default_factory=dict)
     children: dict[ContractionRecord, _Node] = field(default_factory=dict)
 
 
 class StepCache:
     """Per-instance graph of nodes, one per reduced graph its episodes reach.
 
-    The cache makes every per-graph value once, and an episode reaches a node
-    only through these four: ``node`` finds the instance's node by signature,
-    ``descend`` a child by contraction (so two orders that reach one graph
-    share its node), ``sampler`` searches angles and prepares the state, and
-    ``residual`` brute-forces the optimum.  Nodes are small and kept
-    unbounded.  Cumulative probabilities, 2^(n-1) floats per graph (the half
-    state, see qaoa.statevector_depth1), live in an LRU keyed by node and
-    bounded at about 2^24 floats.
+    The cache makes every per-graph value once (see _Node for what a node
+    keeps, and under which keys), and an episode reaches a node only through
+    these four: ``node`` finds the instance's node by signature, ``sampler``
+    searches angles, prepares the state and keeps the sampler, ``eliminate``
+    selects a step's elimination and descends to its child, and
+    ``residual`` brute-forces the optimum.  ``descend`` finds a child by
+    contraction, so two orders that reach one graph share its node.  Nodes
+    are small and kept unbounded.  Cumulative probabilities, 2^(n-1) floats
+    per graph (the half state, see qaoa.statevector_depth1), live in an LRU
+    keyed by node and bounded at about 2^24 floats; a statevector sampler
+    holds its node's, so it is kept only while they are.
     """
 
     def __init__(self):
@@ -143,12 +163,19 @@ class StepCache:
         return child
 
     def sampler(self, node: _Node, cfg: DriverConfig) -> CorrelationSampler:
-        """A step's shot source on node; what it prepares is kept for the next step there."""
+        """A step's shot source on node, kept with what it prepares for the next step there."""
+        kind = (cfg.sampling_mode, cfg.sv_threshold)
+        if node.sampler is not None and node.sampler[0] == kind:
+            sampler = node.sampler[1]
+            if sampler.mode == MODE_STATEVECTOR:
+                self._probs.move_to_end(node)
+            return sampler
         if node.angles is None:
             node.angles = optimize_angles(node.graph)
         cum = self._probs.pop(node, None)
         sampler = CorrelationSampler(node.graph, node.angles, cfg.sampling_mode, cfg.sv_threshold,
                                      exact_values=node.exact, cumulative_probs=cum)
+        node.sampler = (kind, sampler)
         if sampler.mode != MODE_STATEVECTOR:
             node.exact = sampler.exact_values()
             return sampler
@@ -156,8 +183,25 @@ class StepCache:
         # keep total cached floats around 2^24 regardless of state size
         self._max_prob = self._max_prob or max(16, (1 << 24) // len(cum))
         while len(self._probs) > self._max_prob:
-            self._probs.popitem(last=False)
+            evicted, _ = self._probs.popitem(last=False)
+            evicted.sampler = None  # a node is here exactly while its sampler is a statevector one
         return sampler
+
+    def eliminate(
+        self, node: _Node, est: np.ndarray, order: np.ndarray
+    ) -> tuple[ContractionRecord, _Node]:
+        """select_edge's elimination on node's graph and the child it leads to.
+
+        The record depends on the graph, the leading position order[0] and the
+        sign of its estimate alone, so both are kept under those two.
+        """
+        lead = float(est[order[0]])
+        key = (int(order[0]), (lead > 0) - (lead < 0))
+        found = node.eliminations.get(key)
+        if found is None:
+            rec = select_edge(node.graph, est, order)
+            found = node.eliminations[key] = rec, self.descend(node, rec)
+        return found
 
     def residual(self, node: _Node) -> dict[int, int]:
         """The optimal assignment of node's graph, brute-forced on first request."""
@@ -278,7 +322,7 @@ def run_episode(
             probe_pool = sampler.draw(k_probe, rng)
             probe_est = sampler.estimate(probe_pool)
 
-        state = extract_state(g, probe_est, cfg.k_top, cfg.zgap_variant)
+        state = extract_state(g, probe_est, cfg.k_top, cfg.zgap_variant, node.features)
         disc = discretize(state, n, cfg.n_c, cfg.bins)
         decision = policy.decide(state, disc, cap, k_probe, rng)
         k_t = decision.shots
@@ -292,9 +336,8 @@ def run_episode(
             main_est = sampler.estimate(pool)
 
         order = edge_order(main_est)
-        rec = select_edge(g, main_est, order)
+        rec, node = cache.eliminate(node, main_est, order)
         stack.append(rec)
-        node = cache.descend(node, rec)
         steps.append(
             StepLog(
                 step=len(steps) + 1,

@@ -137,15 +137,23 @@ def edge_distance(g: WeightedGraph, order: np.ndarray) -> int:
     return hop_distance(g, ends[order[0]].tolist(), ends[order[1]].tolist())
 
 
-def extract_state(g: WeightedGraph, est: np.ndarray, k_top: int, zgap_variant: str) -> StepState:
-    """Assemble the full step state from a probe estimate in edge_list() order."""
+def extract_state(
+    g: WeightedGraph, est: np.ndarray, k_top: int, zgap_variant: str, memo: dict | None = None
+) -> StepState:
+    """Assemble the full step state from a probe estimate in edge_list() order.
+
+    kappa and dist read only g and the leading positions order[:max(k_top, 2)],
+    so they are computed once per (k_top, leading positions) and kept in
+    ``memo``, a dict the caller keeps for g (a fresh one by default).
+    """
     order = edge_order(est)
-    return StepState(
-        m=g.node_count,
-        zeta=zgap(est, order, zgap_variant),
-        kappa=conflict_ratio(g, order, k_top),
-        dist=edge_distance(g, order),
-    )
+    memo = {} if memo is None else memo
+    key = (k_top, order[: max(k_top, 2)].tobytes())
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = conflict_ratio(g, order, k_top), edge_distance(g, order)
+    kappa, dist = found
+    return StepState(m=g.node_count, zeta=zgap(est, order, zgap_variant), kappa=kappa, dist=dist)
 
 
 def discretize(s: StepState, n: int, n_c: int, bins: BinBoundaries) -> DiscreteState:

@@ -40,6 +40,7 @@ _RESEED_STRIDE = 1_000_003
 _REWEIGHT_SEED_BASE = 10 ** 9
 _TABLE_BITS = 18  # free qubits in _doubled_search's table: 2^18 cut values
 _RESCORE_BLOCK = 1 << 13  # entries of one block of _edge_order_cuts' term matrix
+_FIELD_BITS = 7  # lowest qubits over which _doubled_search doubles every field h_i at once
 
 
 class ContractionError(ValueError):
@@ -203,7 +204,14 @@ def reconstruct_assignment(
 
 
 def cut_value(g: WeightedGraph, z: Mapping[int, int]) -> float:
-    return sum(j * (1 - z[u] * z[v]) / 2 for (u, v), j in g.edges().items())
+    """The cut of assignment z, its edges' terms J (1 - z_u z_v) / 2 summed left to right in
+    edge order from 0.0, as _edge_order_cuts sums them: the bits of the plain Python sum."""
+    ends, j = g.edge_index()
+    spins = np.array([z[u] for u in g.nodes])
+    terms = np.zeros(len(j) + 1)
+    np.multiply(j, 1 - spins[ends[:, 0]] * spins[ends[:, 1]], out=terms[1:])
+    terms[1:] /= 2
+    return float(np.cumsum(terms, out=terms)[-1])
 
 
 def _edge_order_cuts(
@@ -228,6 +236,44 @@ def _edge_order_cuts(
     return cuts
 
 
+def _doubling_terms(
+    n: int, ends: np.ndarray, weights: np.ndarray, low: int
+) -> tuple[np.ndarray, list[float], list[tuple[int, int, float]]]:
+    """What _doubled_search adds as it doubles its table over the low free qubits 1..low.
+
+    Returns h, whose slice h[2^(i-1) : 2^i] is h_i, the per-qubit sums k, and
+    the edges (p, i, J) to chunk qubits i > low, each sum taken in edge order
+    from 0.0 as a Python loop over the edges would take it.
+    """
+    w = np.zeros((n, n))
+    w[ends[:, 0], ends[:, 1]] = weights  # J_pi at [p, i], p < i
+    # k[i] is W_i plus the couplings from low qubit i to chunk qubits (qubit 0's go to the
+    # constants), summed in edge order: row i of terms is 0.0, column i of w, then row i of w
+    # past low, and the zeros in between add nothing
+    terms = np.zeros((low + 1, 2 * n - low))
+    terms[:, 1:n + 1] = w[:, :low + 1].T
+    terms[1:, n + 1:] = w[1:low + 1, low + 1:]
+    k = np.cumsum(terms, axis=1)[:, -1].tolist()
+    # h_i[m] = sum_{0<p<i} J_pi b_p, b_p being bit p-1 of m, is built by doubling over p in
+    # ascending order, as the table is over i, so each entry adds its terms in edge order; the
+    # levels p <= lead_bits run for every i at once, a row of lead each, the rest on h_i alone
+    lead_bits = min(low - 1, _FIELD_BITS)
+    lead = np.zeros((low + 1, 1 << lead_bits))
+    for p in range(1, lead_bits + 1):
+        half = 1 << (p - 1)
+        np.add(lead[:, :half], w[p, :low + 1, None], out=lead[:, half:2 * half])
+    h = np.zeros(1 << low)  # h_i lives at h[2^(i-1) : 2^i]
+    for i in range(1, low + 1):
+        h_i = h[1 << (i - 1):1 << i]
+        h_i[:1 << lead_bits] = lead[i, :len(h_i)]
+        for p in range(lead_bits + 1, i):
+            half = 1 << (p - 1)
+            np.add(h_i[:half], w[p, i], out=h_i[half:2 * half])
+    chunked = ends[:, 1] > low  # edges (p, i, J) with chunk qubit i > low
+    fixed = list(zip(ends[chunked, 0].tolist(), ends[chunked, 1].tolist(), weights[chunked].tolist()))
+    return h, k, fixed
+
+
 def _doubled_search(n: int, ends: np.ndarray, weights: np.ndarray) -> tuple[float, int]:
     """The best (cut, mask) of brute_force_optimum, found through a doubled table.
 
@@ -245,19 +291,7 @@ def _doubled_search(n: int, ends: np.ndarray, weights: np.ndarray) -> tuple[floa
     equal cuts.
     """
     low = min(n - 1, _TABLE_BITS)
-    h = np.zeros(1 << low)  # h_i lives at h[2^(i-1) : 2^i]
-    k = [0.0] * (low + 1)  # W_i plus the couplings from low qubit i to chunk qubits
-    fixed = []  # edges (p, i, J) with chunk qubit i > low
-    for (p, i), j in zip(ends.tolist(), weights.tolist()):
-        if i > low:
-            fixed.append((p, i, j))
-            if 0 < p <= low:
-                k[p] += j
-            continue
-        k[i] += j
-        if p > 0:
-            half = 1 << (i - 1)
-            h[half:2 * half].reshape(-1, 2, 1 << (p - 1))[:, 1, :] += j
+    h, k, fixed = _doubling_terms(n, ends, weights, low)
     # a table entry takes at most n + 2E roundings over terms whose absolute
     # values sum to at most 2 sum|J|, the edge-order sum E over sum|J|, so tol
     # is at least twice the gap between the two

@@ -364,6 +364,10 @@ class CorrelationSampler:
 
         self._exact = exact_values
         self._cum = cumulative_probs
+        # what every statevector draw reads: the qubit shifts and the edges' endpoint columns
+        ends, _ = g.edge_index()
+        self._shifts = np.arange(g.node_count)[:, None]
+        self._u, self._v = ends[:, 0].copy(), ends[:, 1].copy()
 
     def exact_values(self) -> np.ndarray:
         if self._exact is None:
@@ -390,9 +394,9 @@ class CorrelationSampler:
             keys = _search_keys(cum, k, rng)
             keys.sort()
             idx = np.searchsorted(cum, keys, side="right")
-            bits = ((idx >> np.arange(self.graph.node_count)[:, None]) & 1).astype(np.uint8)
-            ends, _ = self.graph.edge_index()
-            flips = bits[ends[:, 0]] ^ bits[ends[:, 1]]
+            bits = (idx >> self._shifts).astype(np.uint8)  # row q: a byte whose lowest bit is q's
+            bits &= 1
+            flips = bits[self._u] ^ bits[self._v]
             return ShotPool(shots=k, disagree=flips.sum(axis=1, dtype=np.int64))
         if self.mode == MODE_BINOMIAL:
             p = np.clip((1.0 + self.exact_values()) / 2.0, 0.0, 1.0)

@@ -451,6 +451,16 @@ class TestKnobsTakeEffect:
         assert err.startswith("error: ") and "--checkpoint" in err
         assert not out.exists()
 
+    def test_repeated_policy_name_is_usage_error(self, pipeline, tmp_path, capsys):
+        # policies are keyed by name, so a repeat would run one policy where two were asked for
+        _, inst_path, _ = pipeline
+        out = tmp_path / "out"
+        assert run("eval", "--instances", str(inst_path), "--policies", "heuristic,heuristic",
+                   "--cap", "64", "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "heuristic more than once" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["screen", "calibrate", "train", "eval"])
     def test_statevector_mode_above_its_qubit_limit_is_usage_error(self, tmp_path, capsys, command):
         # statevector_sampled cannot take effect on 24 qubits, so nothing runs or is written

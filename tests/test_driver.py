@@ -1,11 +1,13 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import rqshot.driver
+import rqshot.features
 import rqshot.qaoa
-from rqshot.allocation import HeuristicPolicy, UniformPolicy
+from rqshot.allocation import HeuristicPolicy, QTables, RLPolicy, UniformPolicy
 from rqshot.driver import DriverConfig, StepCache, run_episode, select_edge, success
 from rqshot.features import edge_order, probe_shot_count
 from rqshot.instance import (
@@ -15,6 +17,7 @@ from rqshot.instance import (
     contract,
     generate_instance,
 )
+from rqshot.learner import TrainConfig, _TrainingPolicy
 
 from .conftest import edge_estimate, make_graph
 
@@ -311,3 +314,79 @@ class TestStepCacheNodes:
                         assert node is seen[step]
                     else:
                         seen.append(node)
+
+
+# a table that sends a different residual from every cell, so a decision read off the wrong
+# state would show
+RL_TABLE = {c: [float(a == sum(c) % 6) for a in range(6)]
+            for c in itertools.product(range(6), range(7), range(5), range(5))}
+POLICY_MAKERS = {
+    "uniform": UniformPolicy,
+    "heuristic": HeuristicPolicy,
+    "rl": lambda: RLPolicy(QTables(q1=RL_TABLE)),
+    "training": lambda: _TrainingPolicy(QTables(), TrainConfig()),
+}
+
+
+def memo_trials(inst, make_policy, cfg, cache_for_trial, trials=6):
+    """Every output of ``trials`` episodes of one new policy; a training policy learns as it goes."""
+    policy = make_policy()
+    out = []
+    for t in range(trials):
+        rng = np.random.default_rng(t)
+        res = run_episode(inst, policy, 128, cfg, rng, cache=cache_for_trial())
+        if isinstance(policy, _TrainingPolicy):
+            policy.finish_episode(res.sigma, 1.0, rng)
+        out.append((res.to_dict(), [s.to_dict() for s in res.steps]))
+    return out
+
+
+class TestNodeMemo:
+    @pytest.mark.parametrize("mode", ["exact", "statevector_sampled", "binomial", "auto"])
+    @pytest.mark.parametrize("policy", list(POLICY_MAKERS))
+    def test_warm_cache_equals_fresh_caches(self, inst10, mode, policy, monkeypatch):
+        # n_c = 6 gives four steps an episode, so trials share nodes
+        cfg = DriverConfig(n_c=6, sampling_mode=mode)
+        cache = StepCache()
+        first = memo_trials(inst10, POLICY_MAKERS[policy], cfg, lambda: cache)
+        calls = count_calls(monkeypatch, "select_edge", "contract")
+        features = count_calls(monkeypatch, "conflict_ratio", "edge_distance", module=rqshot.features)
+        built = count_calls(monkeypatch, "__init__", module=rqshot.qaoa.CorrelationSampler)
+        second = memo_trials(inst10, POLICY_MAKERS[policy], cfg, lambda: cache)
+        # the rerun reads every feature, elimination and sampler off the nodes
+        assert (calls, features, built) == ({"select_edge": 0, "contract": 0},
+                                            {"conflict_ratio": 0, "edge_distance": 0}, {"__init__": 0})
+        fresh = memo_trials(inst10, POLICY_MAKERS[policy], cfg, StepCache)
+        steps = sum(not step["trivial"] for _, logs in fresh for step in logs)
+        assert calls["select_edge"] == features["conflict_ratio"] == built["__init__"] == steps > 0
+        assert first == second == fresh
+
+    @pytest.mark.parametrize("cfgs", [
+        (DriverConfig(n_c=6, k_top=3), DriverConfig(n_c=6, k_top=4)),
+        (DriverConfig(n_c=6, k_top=1), DriverConfig(n_c=6, k_top=2)),  # one leading pair, two kappas
+        (DriverConfig(n_c=6, sampling_mode="statevector_sampled"), DriverConfig(n_c=6, sampling_mode="binomial")),
+        (DriverConfig(n_c=6), DriverConfig(n_c=6, sv_threshold=8)),
+    ])
+    def test_one_cache_across_configs_equals_fresh_caches(self, inst10, cfgs):
+        # each config's memo entries and sampler stay its own, there and back again
+        cache = StepCache()
+        for cfg in cfgs + cfgs:
+            for make in (HeuristicPolicy, POLICY_MAKERS["rl"]):
+                assert memo_trials(inst10, make, cfg, lambda: cache) == memo_trials(inst10, make, cfg, StepCache)
+
+    def test_eliminate_is_select_edge_then_descend(self, inst10, monkeypatch):
+        g = inst10.graph
+        cache = StepCache()
+        node = cache.node(g)
+        calls = count_calls(monkeypatch, "select_edge")
+        # a leading position under either sign, a second estimate of the same sign, and the
+        # all-zero estimate under either zero, which select_edge reads as +1
+        for i, lead in ((3, 0.5), (3, -0.5), (3, 0.25), (0, 0.0), (0, -0.0), (5, -1.0)):
+            est = np.zeros(g.edge_count)
+            est[i] = lead
+            order = edge_order(est)
+            rec, child = cache.eliminate(node, est, order)
+            assert rec == select_edge(g, est, order)
+            assert child is cache.descend(node, rec)
+            assert cache.eliminate(node, est, order) == (rec, child)
+        assert calls["select_edge"] == 4  # one per distinct (position, sign)

@@ -333,6 +333,24 @@ def contracted_residuals(inst, walks, rng):
     return out
 
 
+def edge_loop_doubling_terms(n, ends, weights, low):
+    """Reference: the Python loop over the edges that once filled _doubled_search's h and k."""
+    h = np.zeros(1 << low)
+    k = [0.0] * (low + 1)
+    fixed = []
+    for (p, i), j in zip(ends.tolist(), weights.tolist()):
+        if i > low:
+            fixed.append((p, i, j))
+            if 0 < p <= low:
+                k[p] += j
+            continue
+        k[i] += j
+        if p > 0:
+            half = 1 << (i - 1)
+            h[half:2 * half].reshape(-1, 2, 1 << (p - 1))[:, 1, :] += j
+    return h, k, fixed
+
+
 class TestBruteForce:
     def test_residual_sizes_equal_all_mask_scoring_bit_for_bit(self, rng):
         graphs = []
@@ -378,6 +396,35 @@ class TestBruteForce:
                 assert brute_force_optimum(g) == allocating_brute_force(g)
             g = components_graph((n // 2, n - n // 2), rng)
             assert brute_force_optimum(g) == allocating_brute_force(g)
+
+    def test_doubling_terms_equal_the_edge_loop_bit_for_bit(self, rng):
+        graphs = []
+        for n in range(2, 13):
+            for p in (0.3, 0.6, 1.0):
+                # couplings of +-1 and 0.5, so that sums cancel exactly, and Gaussian ones, whose
+                # sums round differently in another order
+                graphs.append(WeightedGraph(range(n), {
+                    e: float(rng.choice([-1.0, 1.0, 0.5]))
+                    for e in itertools.combinations(range(n), 2) if rng.random() < p
+                }))
+                graphs.append(random_weighted_graph(n, p, rng))
+        for n, d, seed in ((12, 8, 49166), (13, 10, 34185), (16, 8, 45368), (14, 8, 847)):  # hard pool
+            graphs += contracted_residuals(generate_instance(n, d, seed, compute_opt=False), 3, rng)
+        graphs.append(generate_instance(22, 3, 847, compute_opt=False).graph)  # 2^18-entry h
+        checked = 0
+        for g in graphs:
+            n, (ends, weights) = g.node_count, g.edge_index()
+            if not g.edge_count:
+                continue
+            # the table's own width, and narrower ones that leave chunk qubits above it
+            for low in sorted({min(n - 1, instance_mod._TABLE_BITS), min(n - 1, 3), 1}):
+                h, k, fixed = instance_mod._doubling_terms(n, ends, weights, low)
+                ref_h, ref_k, ref_fixed = edge_loop_doubling_terms(n, ends, weights, low)
+                assert h.tobytes() == ref_h.tobytes()
+                assert np.array(k).tobytes() == np.array(ref_k).tobytes()
+                assert fixed == ref_fixed
+                checked += 1
+        assert checked > 150
 
     @pytest.mark.parametrize("n, d, e_opt_hex", [
         (14, 8, "0x1.b6192fa8d43a1p+1"),
@@ -438,6 +485,29 @@ class TestBruteForce:
         e_opt, z = brute_force_optimum(WeightedGraph(range(5), {}))
         assert e_opt == 0.0
         assert all(v == 1 for v in z.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["gaussian", "units"]),
+)
+def test_cut_value_is_the_python_sum_bit_for_bit(n, p, seed, couplings):
+    rng = np.random.default_rng(seed)
+    draw = (lambda: float(rng.standard_normal())) if couplings == "gaussian" else (
+        lambda: float(rng.choice([-1.0, 1.0, 0.5])))
+    g = WeightedGraph(range(n), {e: draw() for e in itertools.combinations(range(n), 2)
+                                 if rng.random() < p})
+    z = {u: int(rng.choice([-1, 1])) for u in g.nodes}
+    uncut = {u: 1 for u in g.nodes}  # cuts nothing: every term is +-0.0
+    for spins in (z, uncut, {u: -s for u, s in z.items()}):
+        ref = sum(j * (1 - spins[u] * spins[v]) / 2 for (u, v), j in g.edges().items())
+        got = cut_value(g, spins)
+        assert type(got) is float
+        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+        assert got.hex() == float(ref).hex()
 
 
 class TestReconstruct:
